@@ -1,9 +1,11 @@
 """Run every built-in self-check on the degree-6 del Pezzo surface.
 
-The same cohomology vector is computed twice, by the Stanley-Reisner
-powerset scan and by the independent fan-restriction route, and the two
-are compared on a grid of divisor classes.  The multiplicity factors are
-then checked degree by degree against restriction homology, and Serre
+The same cohomology vector is computed twice, by the engine (the lcm
+lattice of the Stanley-Reisner generators, Hochster factors split over
+variable-disjoint generator components, neg-group counts) and by the
+independent fan-restriction route, and the two are compared on a grid of
+divisor classes.  The multiplicity factors are then checked degree by
+degree against restriction homology of the fan complex, and Serre
 duality is verified for a few sample classes.
 """
 

@@ -27,12 +27,7 @@ from .engine import (
     engine_for,
     serre_check,
 )
-from .errors import (
-    ChainComplexError,
-    GeneratorLimitError,
-    ModelError,
-    NonFiniteCohomologyError,
-)
+from .errors import ModelError, NonFiniteCohomologyError
 from .model import (
     ToricVarietyModel,
     bundled_model_names,
@@ -45,19 +40,17 @@ from .model import (
 from .multiplicity import MultiplicityTable, multiplicity_factors, multiplicity_table
 from .oracle import FanOracle, cohomology_via_fan, fan_complex, hochster_check, oracle_for
 from .simplicial import FaceSet, alexander_dual, link, reduced_homology, restrict
-from .srscan import DegreeSet, contributing_degrees, gamma_complex, scan_powerset
+from .srscan import DegreeSet, contributing_degrees, scan_powerset
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CohomologyEngine",
     "CohomologyResult",
-    "ChainComplexError",
     "CountResult",
     "DegreeSet",
     "FaceSet",
     "FanOracle",
-    "GeneratorLimitError",
     "INFINITE",
     "ModelError",
     "MultiplicityTable",
@@ -74,7 +67,6 @@ __all__ = [
     "enumerate_neg_group",
     "fan_complex",
     "format_rationom",
-    "gamma_complex",
     "hochster_check",
     "link",
     "load_bundled",

@@ -20,10 +20,9 @@ from typing import Sequence
 from ._bits import bitstring, to_1based
 from .counting import enumerate_neg_group, format_rationom
 from .engine import CohomologyResult, engine_for
-from .errors import GeneratorLimitError, ModelError, NonFiniteCohomologyError
+from .errors import ModelError, NonFiniteCohomologyError
 from .model import ToricVarietyModel, load_variety
 from .oracle import oracle_for
-from .srscan import DEFAULT_GENERATOR_CAP
 
 RATIONOM_LISTING_LIMIT = 50
 
@@ -58,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify Serre duality for every class")
     p.add_argument("--unfiltered-debug", action="store_true",
                    help="assert dual-filtered and unfiltered sums agree")
-    p.add_argument("--generator-cap", type=int, default=DEFAULT_GENERATOR_CAP,
-                   metavar="N", help="Stanley-Reisner generator powerset cap")
     return p
 
 
@@ -135,7 +132,7 @@ def _print_breakdown(model: ToricVarietyModel, result: CohomologyResult, out) ->
 def run(args, out=sys.stdout, err=sys.stderr) -> int:
     try:
         model = load_variety(args.input)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=err)
         return 1
     except ModelError as exc:
@@ -157,7 +154,7 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
         return 1
 
     alphas = sorted(set(alphas))
-    engine = engine_for(model, generator_cap=args.generator_cap)
+    engine = engine_for(model)
     need_oracle = args.oracle_check
     checks_failed = False
     rows = []
@@ -182,7 +179,7 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
     except NonFiniteCohomologyError as exc:
         print(f"error: {exc}", file=err)
         return 2
-    except GeneratorLimitError as exc:
+    except ModelError as exc:
         print(f"error: {exc}", file=err)
         return 1
 

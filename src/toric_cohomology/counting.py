@@ -4,8 +4,9 @@ For a divisor class alpha and a coordinate subset sigma, the neg-group is
 the set of integer vectors u with charge image alpha whose negative entries
 sit exactly on sigma.  Substituting u_i = -1 - w_i on sigma and u_i = w_i
 elsewhere turns this into counting nonnegative integer solutions of a small
-linear system.  Infinitude is decided first by an exact rational recession
-test on that system; finite fibers are enumerated by parametrizing the
+linear system.  A class outside the charge lattice has an empty fiber;
+otherwise infinitude is decided by an exact rational recession test on
+that system, and finite fibers are enumerated by parametrizing the
 class lattice (integer kernel of the charge map) and walking the resulting
 polytope with exact Fourier-Motzkin bounds.
 
@@ -197,25 +198,24 @@ class NegGroupCounter:
         key = (tuple(alpha), sigma)
         if key in self._counts:
             return self._counts[key]
-        if self.recession(sigma):
+        u0 = self._base_point(alpha)
+        if u0 is None:  # alpha is not in the charge lattice: no vectors at all
+            result = CountResult(0)
+        elif self.recession(sigma):
             result = INFINITE
         else:
-            u0 = self._base_point(alpha)
-            if u0 is None:
-                result = CountResult(0)
-            else:
-                rows, d = self._inequalities(u0, sigma)
-                result = CountResult(sum(1 for _ in _lattice_points(rows, d)))
+            rows, d = self._inequalities(u0, sigma)
+            result = CountResult(sum(1 for _ in _lattice_points(rows, d)))
         self._counts[key] = result
         return result
 
     def enumerate(self, alpha: DivisorClass, sigma: int, limit: int | None = None):
         """The explicit exponent vectors of a finite neg-group, lexicographic."""
-        if self.recession(sigma):
-            raise ValueError("cannot enumerate an infinite neg-group")
         u0 = self._base_point(alpha)
         if u0 is None:
             return []
+        if self.recession(sigma):
+            raise ValueError("cannot enumerate an infinite neg-group")
         rows, d = self._inequalities(u0, sigma)
         points = [
             tuple(u0[i] + sum(col[i] * y for col, y in zip(self._kernel, ys))

@@ -19,7 +19,7 @@ from .counting import CountResult, NegGroupCounter, counter_for
 from .errors import NonFiniteCohomologyError
 from .model import DivisorClass, ToricVarietyModel, canonical_class
 from .multiplicity import MultiplicityTable, multiplicity_table
-from .srscan import DEFAULT_GENERATOR_CAP, DegreeSet, contributing_degrees, scan_powerset
+from .srscan import DegreeSet, contributing_degrees, scan_powerset
 
 
 @dataclass
@@ -50,9 +50,8 @@ class CohomologyEngine:
     neg-group counts are memoized inside the shared per-model counter.
     """
 
-    def __init__(self, model: ToricVarietyModel, generator_cap: int = DEFAULT_GENERATOR_CAP):
+    def __init__(self, model: ToricVarietyModel):
         self.model = model
-        self.generator_cap = generator_cap
         self._degree_set: DegreeSet | None = None
         self._table: MultiplicityTable | None = None
         self.counter: NegGroupCounter = counter_for(model)
@@ -60,9 +59,7 @@ class CohomologyEngine:
     @property
     def degree_set(self) -> DegreeSet:
         if self._degree_set is None:
-            self._degree_set = scan_powerset(
-                self.model.sr_generators, self.model.n, cap=self.generator_cap
-            )
+            self._degree_set = scan_powerset(self.model.sr_generators, self.model.n)
         return self._degree_set
 
     @property
@@ -145,16 +142,13 @@ class CohomologyEngine:
         )
 
 
-_engines: Dict[tuple[ToricVarietyModel, int], CohomologyEngine] = {}
+_engines: Dict[ToricVarietyModel, CohomologyEngine] = {}
 
 
-def engine_for(
-    model: ToricVarietyModel, generator_cap: int = DEFAULT_GENERATOR_CAP
-) -> CohomologyEngine:
-    key = (model, generator_cap)
-    if key not in _engines:
-        _engines[key] = CohomologyEngine(model, generator_cap)
-    return _engines[key]
+def engine_for(model: ToricVarietyModel) -> CohomologyEngine:
+    if model not in _engines:
+        _engines[model] = CohomologyEngine(model)
+    return _engines[model]
 
 
 def cohomology(model: ToricVarietyModel, alpha: Sequence[int], **kw) -> CohomologyResult:

@@ -5,14 +5,6 @@ class ModelError(ValueError):
     """Malformed or inconsistent toric variety input data."""
 
 
-class GeneratorLimitError(RuntimeError):
-    """Too many Stanley-Reisner generators for the configured powerset cap."""
-
-
-class ChainComplexError(RuntimeError):
-    """The projected boundary operator failed to square to zero."""
-
-
 class NonFiniteCohomologyError(RuntimeError):
     """An infinite neg-group met a nonzero multiplicity factor.
 

@@ -152,6 +152,16 @@ def canonical_class(model: ToricVarietyModel) -> DivisorClass:
     return tuple(-sum(row[j] for row in model.charges) for j in range(model.num_classes))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_lists(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in value
+    )
+
+
 def parse_variety(text: str) -> ToricVarietyModel:
     """Parse the JSON input document into a validated model.
 
@@ -167,30 +177,28 @@ def parse_variety(text: str) -> ToricVarietyModel:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("document must be a JSON object")
     try:
-        names = tuple(str(c) for c in doc["coordinates"])
+        names = doc["coordinates"]
         dim = doc["dimension"]
         charges = doc["charges"]
     except KeyError as exc:
         raise ModelError(f"missing required key {exc}") from exc
-    if not isinstance(dim, int):
-        raise ModelError("dimension must be an integer")
-    n = len(names)
-    if not isinstance(charges, list) or not all(isinstance(r, list) for r in charges):
-        raise ModelError("charges must be a list of integer rows")
-    for row in charges:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ModelError(f"non-integer charge entry {x!r}")
-
     sr_ideal = doc.get("sr_ideal")
     max_cones_doc = doc.get("max_cones")
+    if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
+        raise ModelError("coordinates must be a list of strings")
+    if not _is_int(dim):
+        raise ModelError("dimension must be an integer")
+    for key, value in (("charges", charges), ("sr_ideal", sr_ideal), ("max_cones", max_cones_doc)):
+        if value is not None and not _is_int_lists(value):
+            raise ModelError(f"{key}: not a list of lists, or a non-integer entry")
     if sr_ideal is None and max_cones_doc is None:
         raise ModelError("at least one of sr_ideal / max_cones is required")
+    n = len(names)
     if n > MAX_VERTICES:
         raise ModelError(f"at most {MAX_VERTICES} coordinates supported, got {n}")
 

@@ -1,10 +1,14 @@
-"""Multiplicity factors: graded Betti numbers from exact-degree complexes.
+"""Multiplicity factors: graded Betti numbers of the Stanley-Reisner ring.
 
-The factor attached to a squarefree degree at homological index r is the
-rational reduced homology dimension, in degree r-1, of the collection of
-generator subsets whose support union equals that degree exactly.  These
-factors are independent of the line bundle, so a table over all scanned
-degrees is the natural cached object.
+The factor attached to a squarefree degree D at homological index r is
+beta_{r,D} = dim H~_{|D|-r-1}(Delta|_D), where Delta is the Stanley-Reisner
+complex (the vertex subsets containing no generator): Hochster's formula.
+The generators inside D fall into variable-disjoint components; Delta|_D
+is the join of the restrictions to their vertex sets, so the factors of D
+are the convolution in r of the factors of its components.  A component
+with one generator restricts to a simplex boundary, with factors {1: 1}.
+These factors are independent of the line bundle, so a table over all
+scanned degrees is the natural cached object.
 """
 
 from __future__ import annotations
@@ -12,14 +16,64 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
-from .simplicial import reduced_homology
-from .srscan import DegreeSet, gamma_complex
+from ._bits import bits
+from .simplicial import FaceSet, reduced_homology
+from .srscan import DegreeSet
+
+
+def _components(gens: list[int]) -> list[tuple[int, list[int]]]:
+    """Group generators into (vertex mask, generators) with disjoint masks."""
+    parts: list[tuple[int, list[int]]] = []
+    for g in gens:
+        mask, group, rest = g, [g], []
+        for m, p in parts:
+            if m & g:
+                mask |= m
+                group += p
+            else:
+                rest.append((m, p))
+        parts = rest + [(mask, group)]
+    return parts
+
+
+def _sr_faces(vertices: int, gens: list[int]) -> list[int]:
+    """Subsets of `vertices` containing no generator, grown vertex by vertex."""
+    order = list(bits(vertices))
+    through = {v: [g for g in gens if g >> v & 1] for v in order}
+    faces = []
+    stack = [(0, 0)]
+    while stack:
+        face, start = stack.pop()
+        faces.append(face)
+        for k in range(start, len(order)):
+            grown = face | 1 << order[k]
+            if all(g & ~grown for g in through[order[k]]):
+                stack.append((grown, k + 1))
+    return faces
+
+
+def _component_factors(n: int, vertices: int, gens: list[int]) -> Dict[int, int]:
+    if len(gens) == 1:
+        return {1: 1}
+    size = bin(vertices).count("1")
+    dims = reduced_homology(FaceSet(n, frozenset(_sr_faces(vertices, gens))))
+    return {size - j - 1: h for j, h in dims.items()}
 
 
 def multiplicity_factors(degree_set: DegreeSet, degree: int) -> Dict[int, int]:
     """Sparse {r: beta} map for one squarefree degree (nonzero entries only)."""
-    dims = reduced_homology(gamma_complex(degree_set, degree))
-    return {j + 1: h for j, h in sorted(dims.items())}
+    if degree not in degree_set:
+        raise ValueError(f"degree {degree:b} not in the scanned degree set")
+    gens = [g for g in degree_set.supports if g & ~degree == 0]
+    factors = {0: 1}
+    for vertices, group in _components(gens):
+        part = _component_factors(degree_set.n, vertices, group)
+        joined: Dict[int, int] = {}
+        for r, x in factors.items():
+            for s, y in part.items():
+                joined[r + s] = joined.get(r + s, 0) + x * y
+        factors = joined
+    return dict(sorted(factors.items()))
 
 
 @dataclass

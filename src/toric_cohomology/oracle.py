@@ -1,8 +1,8 @@
 """Independent verification route through the fan complex.
 
 Sums neg-group counts against reduced homology of restrictions of the fan
-complex over all coordinate subsets, bypassing the Stanley-Reisner powerset
-scan entirely.  Also provides the Hochster cross-check tying the
+complex over all coordinate subsets, bypassing the Stanley-Reisner lcm
+lattice entirely.  Also provides the Hochster cross-check tying the
 multiplicity factors to restriction homology, including the vanishing
 assertions for degrees outside the scanned degree set.
 """
@@ -93,6 +93,9 @@ class FanOracle:
         For every scanned degree the factor map must match the Hochster-side
         dims; for degrees outside the scan (all of them when 2^n is small,
         otherwise a seeded sample) all restriction homology must vanish.
+        The factor table splits each degree into generator components of
+        the Stanley-Reisner complex; this side restricts the fan complex,
+        built from the maximal cones, as a whole.
         """
         n = self.model.n
         degree_set = scan_powerset(self.model.sr_generators, n)
@@ -105,11 +108,11 @@ class FanOracle:
                 for r in range(0, size + 1)
                 if hom.get(size - r - 1)
             }
-            gamma_side = multiplicity_factors(degree_set, deg)
+            factors = multiplicity_factors(degree_set, deg)
             report.checked += 1
-            if hochster != gamma_side:
+            if hochster != factors:
                 report.mismatches.append(
-                    f"degree {bitstring(deg, n)}: gamma-route {gamma_side} "
+                    f"degree {bitstring(deg, n)}: factor table {factors} "
                     f"!= Hochster {hochster}"
                 )
         outside = [m for m in range(1 << n) if m not in degree_set.entries]

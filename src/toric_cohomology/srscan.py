@@ -1,10 +1,12 @@
-"""Powerset scan over Stanley-Reisner generators.
+"""The lcm lattice of the Stanley-Reisner generators.
 
-Builds the set of squarefree degrees arising as unions of generator
-supports, keeping for each degree the generator subsets realizing it
-(grouped by cardinality).  This is the alpha-independent combinatorial part
-of the algorithm; the scan is performed once per model and reused for
-every line bundle.
+The squarefree degrees that can carry a multiplicity factor are the unions
+of generator supports (Gasharov-Peeva-Welker: the Betti numbers of a
+monomial ideal live on its lcm lattice).  They are collected by union
+closure, one generator at a time, so the work is proportional to the
+lattice size rather than to the 2^t generator subsets.  This is the
+alpha-independent combinatorial part of the algorithm; the scan is
+performed once per model and reused for every line bundle.
 """
 
 from __future__ import annotations
@@ -13,18 +15,18 @@ from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
 from ._bits import complement
-from .errors import GeneratorLimitError
-from .simplicial import FaceSet
+from .errors import ModelError
 
-DEFAULT_GENERATOR_CAP = 28
+MAX_DEGREES = 1 << 16
 
 
 @dataclass
 class DegreeSet:
-    """Union degrees of generator subsets, with the subsets realizing each.
+    """The lcm lattice: every union of generator supports, including 0.
 
     entries maps a squarefree degree (vertex bitmask over [n]) to
-    {cardinality: sorted generator-subset masks over [t]}.
+    {cardinality: [tau]}, where tau is the mask over [t] of all generators
+    contained in the degree (the one canonical subset realizing it).
     """
 
     n: int
@@ -38,68 +40,27 @@ class DegreeSet:
     def __contains__(self, degree: int) -> bool:
         return degree in self.entries
 
-    def faces_for(self, degree: int) -> list[int]:
-        """All generator subsets whose support union equals `degree`."""
-        if degree not in self.entries:
-            raise ValueError(f"degree {degree:b} not in the scanned degree set")
-        groups = self.entries[degree]
-        return [tau for k in sorted(groups) for tau in groups[k]]
 
+def scan_powerset(sr_generators: Sequence[int], n: int) -> DegreeSet:
+    """Union closure of the generator supports, bounded by MAX_DEGREES.
 
-def scan_powerset(
-    sr_generators: Sequence[int],
-    n: int,
-    cap: int = DEFAULT_GENERATOR_CAP,
-) -> DegreeSet:
-    """Enumerate all generator subsets, recording each under its union degree.
-
-    DFS over generator indices with an incremental union; once the running
-    union has saturated (equals the union of all supports, which every
-    remaining support is contained in), the remaining subtree is recorded
-    without recomputing unions.
+    Raises ModelError once the lattice outgrows the bound, before it is
+    complete.
     """
     supports = tuple(sorted(sr_generators))
-    t = len(supports)
-    if t > cap:
-        raise GeneratorLimitError(
-            f"{t} Stanley-Reisner generators exceed the cap of {cap}; "
-            "raise the cap explicitly to proceed"
-        )
-    entries: Dict[int, Dict[int, list[int]]] = {}
-
-    def record(degree: int, tau: int) -> None:
-        entries.setdefault(degree, {}).setdefault(bin(tau).count("1"), []).append(tau)
-
-    saturation = 0
-    for s in supports:
-        saturation |= s
-
-    def walk(i: int, tau: int, union: int) -> None:
-        if union == saturation and i < t:
-            # every extension keeps the saturated degree
-            rest = t - i
-            for ext in range(1 << rest):
-                record(saturation, tau | (ext << i))
-            return
-        if i == t:
-            record(union, tau)
-            return
-        walk(i + 1, tau, union)
-        walk(i + 1, tau | (1 << i), union | supports[i])
-
-    walk(0, 0, 0)
-    for groups in entries.values():
-        for taus in groups.values():
-            taus.sort()
-    return DegreeSet(n=n, t=t, supports=supports, entries=entries)
-
-
-def gamma_complex(degree_set: DegreeSet, degree: int) -> FaceSet:
-    """The exact-degree face collection over the generator index set.
-
-    Generally not subset-closed; for degree 0 it is the single empty face.
-    """
-    return FaceSet(degree_set.t, frozenset(degree_set.faces_for(degree)))
+    lattice = {0}
+    for g in supports:
+        lattice.update([x | g for x in lattice])
+        if len(lattice) > MAX_DEGREES:
+            raise ModelError(
+                f"the lcm lattice of the {len(supports)} Stanley-Reisner "
+                f"generators has more than {MAX_DEGREES} degrees"
+            )
+    entries = {}
+    for deg in lattice:
+        tau = sum(1 << i for i, g in enumerate(supports) if g & ~deg == 0)
+        entries[deg] = {bin(tau).count("1"): [tau]}
+    return DegreeSet(n=n, t=len(supports), supports=supports, entries=entries)
 
 
 def contributing_degrees(degree_set: DegreeSet, n: int | None = None) -> list[int]:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -172,6 +173,35 @@ def test_non_finite_exit_code(tmp_path):
     path.write_text(json.dumps(model))
     code, _, err = invoke([str(path), "--class", "0"])
     assert code == 2 and "non-finite" in err
+
+
+def test_binary_model_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe\x00binary")
+    code, out, err = invoke([str(path), "--class", "0"])
+    assert code == 1 and out == "" and err.startswith("error: cannot read")
+
+
+def p1_power_doc(k):
+    """P1^k from Stanley-Reisner generators alone: 2^k lattice degrees."""
+    return {
+        "coordinates": [f"x{i + 1}" for i in range(2 * k)],
+        "dimension": k,
+        "charges": [[int(j == i // 2) for j in range(k)] for i in range(2 * k)],
+        "sr_ideal": [[2 * j + 1, 2 * j + 2] for j in range(k)],
+    }
+
+
+def test_lattice_over_the_bound_exits_1(tmp_path):
+    path = tmp_path / "p1_17.json"
+    path.write_text(json.dumps(p1_power_doc(17)))
+    start = time.perf_counter()
+    code, out, err = invoke([str(path), "--class", ",".join(["0"] * 17)])
+    elapsed = time.perf_counter() - start
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "lcm lattice" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert elapsed < 5.0
 
 
 def test_check_failure_exit_code(p2_path, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,8 @@ from toric_cohomology import (
     serre_check,
     sr_from_max_cones,
 )
+
+from util import polygon_model, polygon_rays
 
 ALL_MODELS = ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3")
 
@@ -119,6 +122,18 @@ class TestNonFinite:
             with pytest.raises(NonFiniteCohomologyError, match="non-finite"):
                 cohomology(m, (alpha,))
 
+    def test_class_outside_charge_lattice_is_zero(self):
+        # charges 2,2,2: odd classes have no monomials at all, so the
+        # infinite neg-groups of the truncated fan never meet them
+        cones = (0b011, 0b101)
+        m = ToricVarietyModel(
+            ("x1", "x2", "x3"), 2, ((2,), (2,), (2,)),
+            tuple(sr_from_max_cones(cones, 3)), cones,
+        )
+        assert cohomology(m, (1,)).dims == (0, 0, 0)
+        with pytest.raises(NonFiniteCohomologyError, match="non-finite"):
+            cohomology(m, (0,))
+
     def test_bundled_models_never_raise(self):
         rng = random.Random(11)
         for name in ALL_MODELS:
@@ -155,3 +170,13 @@ def test_nonnegative_dims_everywhere():
         for _ in range(10):
             alpha = tuple(rng.randint(-5, 5) for _ in range(m.num_classes))
             assert all(h >= 0 for h in cohomology(m, alpha).dims)
+
+
+def test_heptagon_structure_sheaf_is_fast():
+    # 14 Stanley-Reisner generators: a 2^14 powerset walk with exact-degree
+    # complexes did not finish in minutes
+    model = polygon_model(polygon_rays([0, 2, 4, 6]))
+    assert model.n == 7 and model.t == 14
+    start = time.perf_counter()
+    assert cohomology(model, (0,) * model.num_classes).dims == (1, 0, 0)
+    assert time.perf_counter() - start < 5.0

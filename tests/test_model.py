@@ -52,6 +52,8 @@ class TestParse:
     def test_malformed_document(self):
         with pytest.raises(ModelError, match="malformed"):
             parse_variety("{not json")
+        with pytest.raises(ModelError, match="malformed"):
+            parse_variety("[" * 100000)
         with pytest.raises(ModelError, match="missing"):
             parse_variety(json.dumps({"coordinates": ["x"], "dimension": 1}))
         with pytest.raises(ModelError):
@@ -86,6 +88,23 @@ class TestParse:
         a = parse_variety(json.dumps(P1XP1_DOC))
         b = parse_variety(json.dumps(dict(P1XP1_DOC, sr_ideal=[[4, 3], [2, 1]])))
         assert a == b
+
+    def test_coordinates_must_be_a_list_of_strings(self):
+        with pytest.raises(ModelError, match="coordinates"):
+            parse_variety(json.dumps(dict(P2_DOC, coordinates="xyz")))
+
+    def test_dimension_must_not_be_a_bool(self):
+        doc = dict(P2_DOC, coordinates=["x1", "x2"], charges=[[1], [1]], dimension=True)
+        with pytest.raises(ModelError, match="dimension"):
+            parse_variety(json.dumps(doc))
+
+    def test_sr_ideal_must_be_lists_of_integers(self):
+        for bad in ([1], [[1, True]], [[1, 2.0]], {"a": [1]}):
+            with pytest.raises(ModelError, match="sr_ideal"):
+                parse_variety(json.dumps(dict(P2_DOC, sr_ideal=bad)))
+        doc = dict(P2_DOC, max_cones=[[1, 2], [1, "3"]])
+        with pytest.raises(ModelError, match="max_cones"):
+            parse_variety(json.dumps(doc))
 
     def test_sr_derived_from_cones_only(self):
         doc = {k: v for k, v in P2_DOC.items() if k != "sr_ideal"}

@@ -1,4 +1,7 @@
 import random
+import time
+
+import pytest
 
 from toric_cohomology import (
     load_bundled,
@@ -10,6 +13,8 @@ from toric_cohomology import (
 )
 from toric_cohomology.oracle import fan_complex
 from toric_cohomology.srscan import contributing_degrees
+
+from util import gamma_factor_table, polygon_model, polygon_rays
 
 
 def test_p2_factors():
@@ -86,3 +91,41 @@ def test_symmetry_consequence_of_dual_filter():
         for deg in p.degrees():
             if multiplicity_factors(p, deg):
                 assert deg in contributing, (name, deg)
+
+
+def test_equals_gamma_reference_on_bundled_models():
+    for name in ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3"):
+        model = load_bundled(name)
+        p = scan_powerset(model.sr_generators, model.n)
+        table = multiplicity_table(p, p.degrees()).table
+        assert table == gamma_factor_table(model.sr_generators, model.n), name
+
+
+def test_degree_outside_the_lattice_rejected():
+    p = scan_powerset((0b011, 0b110), 3)
+    with pytest.raises(ValueError, match="not in"):
+        multiplicity_factors(p, 0b001)
+
+
+@pytest.mark.parametrize("name, gens, n, top", [
+    # P1^12: the top degree joins 12 one-generator components; as one
+    # complex it would have 3^12 faces
+    ("P1^12", [0b11 << 2 * i for i in range(12)], 24, {12: 1}),
+    ("P^12", [(1 << 13) - 1], 13, {1: 1}),
+])
+def test_large_tables_are_fast(name, gens, n, top):
+    start = time.perf_counter()
+    p = scan_powerset(gens, n)
+    table = multiplicity_table(p, p.degrees()).table
+    elapsed = time.perf_counter() - start
+    assert len(table) == 2 ** len(gens)
+    assert table[(1 << n) - 1] == top
+    assert elapsed < 1.0, (name, elapsed)
+
+
+@pytest.mark.parametrize("gaps", [[], [0], [1], [0, 2], [0, 1], [0, 2, 4], [0, 0, 0], [1, 3, 0]])
+def test_equals_gamma_reference_on_polygon_fans(gaps):
+    model = polygon_model(polygon_rays(gaps))
+    p = scan_powerset(model.sr_generators, model.n)
+    table = multiplicity_table(p, p.degrees()).table
+    assert table == gamma_factor_table(model.sr_generators, model.n)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the optimized code paths it is used to
 check: dense rational boundary matrices instead of the fraction-free route,
-full powerset loops instead of the pruned scan, bounding-box searches
-instead of polytope walks.
+full powerset loops and the paper's exact-degree complexes instead of the
+lcm-lattice closure and Hochster's formula, bounding-box searches instead
+of polytope walks.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import itertools
 from fractions import Fraction
 
 from toric_cohomology._bits import bits, mask_of
+from toric_cohomology.exact_linalg import DiagonalizedSystem
+from toric_cohomology.model import ToricVarietyModel, sr_from_max_cones
 from toric_cohomology.simplicial import FaceSet
 
 
@@ -35,37 +38,6 @@ def fraction_rank(rows) -> int:
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
-
-
-def naive_homology(fs: FaceSet) -> dict[int, int]:
-    """Reduced homology of a subset-closed complex via dense rational matrices."""
-    assert fs.is_subset_closed()
-    if not fs.faces:
-        return {}
-    by_deg: dict[int, list[int]] = {}
-    for f in fs.faces:
-        by_deg.setdefault(bin(f).count("1") - 1, []).append(f)
-    for fl in by_deg.values():
-        fl.sort()
-    ranks: dict[int, int] = {}
-    for j, flist in by_deg.items():
-        targets = by_deg.get(j - 1)
-        if not targets:
-            continue
-        index = {f: k for k, f in enumerate(targets)}
-        rows = []
-        for f in flist:
-            row = [0] * len(targets)
-            for s, i in enumerate(bits(f)):
-                row[index[f ^ (1 << i)]] = 1 if s % 2 == 0 else -1
-            rows.append(row)
-        ranks[j] = fraction_rank(rows)
-    out = {}
-    for j, flist in by_deg.items():
-        h = len(flist) - ranks.get(j, 0) - ranks.get(j + 1, 0)
-        if h:
-            out[j] = h
-    return out
 
 
 def all_complexes(n: int):
@@ -108,6 +80,118 @@ def naive_degree_map(generators, n):
         for taus in groups.values():
             taus.sort()
     return entries
+
+
+def projected_homology(faces) -> dict[int, int]:
+    """Reduced homology of any face collection, over Fraction.
+
+    The boundary of a face keeps only the summands present in the
+    collection.  Raises ValueError when that projected boundary does not
+    square to zero.  On a subset-closed complex this is ordinary reduced
+    homology.
+    """
+    faces = frozenset(faces)
+    by_deg: dict[int, list[int]] = {}
+    for f in faces:
+        by_deg.setdefault(bin(f).count("1") - 1, []).append(f)
+    for fl in by_deg.values():
+        fl.sort()
+
+    def boundary(f):
+        return {
+            f ^ (1 << i): 1 if s % 2 == 0 else -1
+            for s, i in enumerate(bits(f)) if f ^ (1 << i) in faces
+        }
+
+    for f in faces:
+        square: dict[int, int] = {}
+        for mid, a in boundary(f).items():
+            for low, b in boundary(mid).items():
+                square[low] = square.get(low, 0) + a * b
+        if any(square.values()):
+            raise ValueError("projected boundary not a complex")
+    ranks: dict[int, int] = {}
+    for j, flist in by_deg.items():
+        targets = by_deg.get(j - 1)
+        if targets:
+            rows = []
+            for f in flist:
+                terms = boundary(f)
+                rows.append([terms.get(g, 0) for g in targets])
+            ranks[j] = fraction_rank(rows)
+    out = {}
+    for j, flist in by_deg.items():
+        h = len(flist) - ranks.get(j, 0) - ranks.get(j + 1, 0)
+        if h:
+            out[j] = h
+    return out
+
+
+def gamma_complex(generators, n, degree) -> frozenset[int]:
+    """The exact-degree complex: generator subsets (masks over [t]) whose
+    union is exactly `degree`; generally not subset-closed."""
+    groups = naive_degree_map(generators, n).get(degree)
+    if groups is None:
+        raise ValueError(f"degree {degree:b} is not a union of generators")
+    return frozenset(tau for taus in groups.values() for tau in taus)
+
+
+def gamma_factor_table(generators, n) -> dict[int, dict[int, int]]:
+    """Multiplicity factors by the paper's powerset route.
+
+    For each union degree D, the projected-boundary homology of the
+    exact-degree complex in degree r-1 is the factor at r.
+    """
+    table = {}
+    for deg, groups in naive_degree_map(generators, n).items():
+        faces = (tau for taus in groups.values() for tau in taus)
+        table[deg] = {j + 1: h for j, h in sorted(projected_homology(faces).items())}
+    return table
+
+
+def polygon_rays(gaps):
+    """Rays of a complete smooth fan: P2's, blown up once per entry of `gaps`.
+
+    Blow-up at gap g inserts the sum of rays g and g+1 (cyclically) after ray g.
+    """
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    for g in gaps:
+        g %= len(rays)
+        a, b = rays[g], rays[(g + 1) % len(rays)]
+        rays.insert(g + 1, (a[0] + b[0], a[1] + b[1]))
+    return rays
+
+
+def polygon_model(rays):
+    """The toric surface of a complete polygon fan: consecutive rays span cones,
+    charges span the integer kernel of the ray matrix."""
+    n = len(rays)
+    kernel = DiagonalizedSystem(tuple(tuple(v[k] for v in rays) for k in range(2))).kernel_basis()
+    cones = tuple(mask_of((i, (i + 1) % n)) for i in range(n))
+    return ToricVarietyModel(
+        tuple(f"x{i + 1}" for i in range(n)),
+        2,
+        tuple(tuple(col[i] for col in kernel) for i in range(n)),
+        tuple(sr_from_max_cones(cones, n)),
+        cones,
+    )
+
+
+def polygon_sections(rays, a) -> int:
+    """h^0 of O(sum a_i D_i) on a polygon fan containing P2's rays, by brute force.
+
+    Counts the characters m in Z^2 with <m, v_i> + a_i >= 0 for every ray,
+    i.e. the monomials of that class.  The rays (1,0), (0,1), (-1,-1) bound
+    m to a box.
+    """
+    lo1, lo2 = -a[rays.index((1, 0))], -a[rays.index((0, 1))]
+    top = a[rays.index((-1, -1))]
+    return sum(
+        1
+        for m1 in range(lo1, top - lo2 + 1)
+        for m2 in range(lo2, top - lo1 + 1)
+        if all(m1 * v[0] + m2 * v[1] + ai >= 0 for v, ai in zip(rays, a))
+    )
 
 
 def charge_image(model, u):
