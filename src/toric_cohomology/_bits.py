@@ -34,10 +34,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def to_indices(mask: int) -> tuple[int, ...]:
-    return tuple(bits(mask))
-
-
 def to_1based(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in bits(mask))
 

@@ -32,9 +32,6 @@ class BreakdownEntry:
     factors: Dict[int, int]
     contrib: Dict[int, int]
 
-    def degree_bits(self, n: int) -> str:
-        return bitstring(self.degree, n)
-
 
 @dataclass
 class CohomologyResult:

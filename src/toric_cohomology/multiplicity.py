@@ -17,8 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable
 
 from ._bits import bits
+from .errors import ModelError
 from .simplicial import FaceSet, reduced_homology
 from .srscan import DegreeSet
+
+MAX_FACES = 1 << 10
 
 
 def _components(gens: list[int]) -> list[tuple[int, list[int]]]:
@@ -36,38 +39,71 @@ def _components(gens: list[int]) -> list[tuple[int, list[int]]]:
     return parts
 
 
-def _sr_faces(vertices: int, gens: list[int]) -> list[int]:
-    """Subsets of `vertices` containing no generator, grown vertex by vertex."""
-    order = list(bits(vertices))
-    through = {v: [g for g in gens if g >> v & 1] for v in order}
-    faces = []
-    stack = [(0, 0)]
+def _faces(positions: list[int], admits) -> list[int]:
+    """Faces on `positions`, grown one vertex v at a time while admits(face, v).
+
+    The work follows the output; more than MAX_FACES faces raise ModelError.
+    """
+    faces, stack = [], [(0, 0)]
     while stack:
         face, start = stack.pop()
         faces.append(face)
-        for k in range(start, len(order)):
-            grown = face | 1 << order[k]
-            if all(g & ~grown for g in through[order[k]]):
+        if len(faces) > MAX_FACES:
+            raise ModelError(
+                f"a multiplicity-factor complex has more than {MAX_FACES} faces"
+            )
+        for k in range(start, len(positions)):
+            grown = face | 1 << positions[k]
+            if admits(grown, positions[k]):
                 stack.append((grown, k + 1))
     return faces
 
 
-def _component_factors(n: int, vertices: int, gens: list[int]) -> Dict[int, int]:
+def _component_factors(vertices: int, gens: list[int]) -> Dict[int, int]:
+    """Factors of one component, from the smaller of two complexes.
+
+    Vertices in the same generators form a class; one variable per class
+    is a flat substitution, so the factors are those of the ideal on one
+    representative per class.  They are read from Hochster's formula on
+    the representatives (beta_r = H~_{classes-r-1}) or from the crosscut
+    of the lcm lattice, the sets of generators whose union misses a class
+    (beta_r = H~_{r-2}), so at most 2^min(classes, generators) faces.
+    """
     if len(gens) == 1:
         return {1: 1}
-    size = bin(vertices).count("1")
-    dims = reduced_homology(FaceSet(n, frozenset(_sr_faces(vertices, gens))))
-    return {size - j - 1: h for j, h in dims.items()}
+    classes = [vertices]
+    for g in gens:
+        if len(classes) == bin(vertices).count("1"):
+            break
+        classes = [part for c in classes for part in (c & g, c & ~g) if part]
+    reps = [c.bit_length() - 1 for c in classes]
+    top = sum(1 << v for v in reps)
+    gens = [g & top for g in gens]
+    if len(reps) <= len(gens):
+        through = {v: [g for g in gens if g >> v & 1] for v in reps}
+        faces = _faces(reps, lambda f, v: all(g & ~f for g in through[v]))
+        dims = reduced_homology(FaceSet(top.bit_length(), frozenset(faces)))
+        return {len(reps) - j - 1: h for j, h in dims.items()}
+
+    def admits(s: int, _: int) -> bool:
+        union = 0
+        for i in bits(s):
+            union |= gens[i]
+        return union != top
+
+    faces = _faces(list(range(len(gens))), admits)
+    dims = reduced_homology(FaceSet(len(gens), frozenset(faces)))
+    return {j + 2: h for j, h in dims.items()}
 
 
 def multiplicity_factors(degree_set: DegreeSet, degree: int) -> Dict[int, int]:
     """Sparse {r: beta} map for one squarefree degree (nonzero entries only)."""
     if degree not in degree_set:
         raise ValueError(f"degree {degree:b} not in the scanned degree set")
-    gens = [g for g in degree_set.supports if g & ~degree == 0]
+    (tau,), = degree_set.entries[degree].values()
     factors = {0: 1}
-    for vertices, group in _components(gens):
-        part = _component_factors(degree_set.n, vertices, group)
+    for vertices, group in _components([degree_set.supports[i] for i in bits(tau)]):
+        part = _component_factors(vertices, group)
         joined: Dict[int, int] = {}
         for r, x in factors.items():
             for s, y in part.items():

@@ -93,9 +93,9 @@ class FanOracle:
         For every scanned degree the factor map must match the Hochster-side
         dims; for degrees outside the scan (all of them when 2^n is small,
         otherwise a seeded sample) all restriction homology must vanish.
-        The factor table splits each degree into generator components of
-        the Stanley-Reisner complex; this side restricts the fan complex,
-        built from the maximal cones, as a whole.
+        Model validation makes the fan complex the Stanley-Reisner complex,
+        so this checks the component split, class merge, crosscut and face
+        listing, not an independent derivation (see tests/util.py).
         """
         n = self.model.n
         degree_set = scan_powerset(self.model.sr_generators, n)

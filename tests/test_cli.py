@@ -204,6 +204,24 @@ def test_lattice_over_the_bound_exits_1(tmp_path):
     assert elapsed < 5.0
 
 
+def test_factor_complex_over_the_bound_exits_1(tmp_path):
+    # generators: the twelve cyclic 6-windows of a 12-cycle
+    doc = {
+        "coordinates": [f"x{i + 1}" for i in range(12)],
+        "dimension": 11,
+        "charges": [[1]] * 12,
+        "sr_ideal": [[(i + k) % 12 + 1 for k in range(6)] for i in range(12)],
+    }
+    path = tmp_path / "windows.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = invoke([str(path), "--class", "0"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "faces" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert time.perf_counter() - start < 5.0
+
+
 def test_check_failure_exit_code(p2_path, monkeypatch):
     import toric_cohomology.cli as cli
 

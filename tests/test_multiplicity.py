@@ -4,6 +4,7 @@ import time
 import pytest
 
 from toric_cohomology import (
+    ModelError,
     load_bundled,
     multiplicity_factors,
     multiplicity_table,
@@ -11,6 +12,7 @@ from toric_cohomology import (
     restrict,
     scan_powerset,
 )
+from toric_cohomology.multiplicity import MAX_FACES
 from toric_cohomology.oracle import fan_complex
 from toric_cohomology.srscan import contributing_degrees
 
@@ -129,3 +131,58 @@ def test_equals_gamma_reference_on_polygon_fans(gaps):
     p = scan_powerset(model.sr_generators, model.n)
     table = multiplicity_table(p, p.degrees()).table
     assert table == gamma_factor_table(model.sr_generators, model.n)
+
+
+def five_collections():
+    """Batyrev's Picard-rank-3 shape: primitive collections X_i u X_{i+1}."""
+    blocks = [0b1111 << 4 * i for i in range(5)]
+    return [blocks[i] | blocks[(i + 1) % 5] for i in range(5)], 20
+
+
+def general_position():
+    """Five generators meeting in all 31 Venn regions, one vertex each."""
+    return [sum(1 << (v - 1) for v in range(1, 32) if v >> i & 1) for i in range(5)], 31
+
+
+@pytest.mark.parametrize("case", [five_collections, general_position])
+def test_overlapping_large_generators_are_fast(case):
+    # the full degree of the five collections restricts the Stanley-Reisner
+    # complex to about a million faces, but to five vertex classes; the
+    # general-position set has 31 classes, so its crosscut on the five
+    # generators is used
+    gens, n = case()
+    start = time.perf_counter()
+    p = scan_powerset(gens, n)
+    table = multiplicity_table(p, p.degrees()).table
+    assert time.perf_counter() - start < 1.0
+    assert table == gamma_factor_table(gens, n)
+
+
+def test_face_bound():
+    # the twelve cyclic 6-windows of a 12-cycle: twelve classes, twelve
+    # generators, and more than MAX_FACES faces either way
+    gens = [sum(1 << (i + k) % 12 for k in range(6)) for i in range(12)]
+    p = scan_powerset(gens, 12)
+    start = time.perf_counter()
+    with pytest.raises(ModelError, match=f"more than {MAX_FACES} faces"):
+        multiplicity_table(p, p.degrees())
+    assert time.perf_counter() - start < 5.0
+
+
+def test_vertex_classes_merge():
+    # every vertex of the heptagon doubled: fourteen generators over seven
+    # classes; unmerged, the full degree alone has more than MAX_FACES
+    # faces.  Doubling variables is flat, so the factors are the
+    # heptagon's, degree for degree.
+    model = polygon_model(polygon_rays([0, 2, 4, 6]))
+
+    def double(mask):
+        return sum(3 << 2 * v for v in range(model.n) if mask >> v & 1)
+
+    heptagon = scan_powerset(model.sr_generators, model.n)
+    doubled = scan_powerset([double(g) for g in model.sr_generators], 2 * model.n)
+    start = time.perf_counter()
+    table = multiplicity_table(doubled, doubled.degrees()).table
+    assert time.perf_counter() - start < 1.0
+    expected = multiplicity_table(heptagon, heptagon.degrees()).table
+    assert table == {double(d): f for d, f in expected.items()}
