@@ -20,8 +20,8 @@ print()
 
 engine = engine_for(model)
 print("scanned degrees and multiplicity factors:")
-for deg in engine.degree_set.degrees():
-    print(f"  {bitstring(deg, model.n)} -> {engine.table.factors(deg)}")
+for deg, factors in engine.table.items():
+    print(f"  {bitstring(deg, model.n)} -> {factors}")
 print()
 
 print(" m | h0 h1 h2")

@@ -23,7 +23,6 @@ from .engine import (
     CohomologyEngine,
     CohomologyResult,
     cohomology,
-    cohomology_all,
     engine_for,
     serre_check,
 )
@@ -37,10 +36,10 @@ from .model import (
     parse_variety,
     sr_from_max_cones,
 )
-from .multiplicity import MultiplicityTable, multiplicity_factors, multiplicity_table
+from .multiplicity import multiplicity_factors, multiplicity_table
 from .oracle import FanOracle, cohomology_via_fan, fan_complex, hochster_check, oracle_for
 from .simplicial import FaceSet, alexander_dual, link, reduced_homology, restrict
-from .srscan import DegreeSet, contributing_degrees, scan_powerset
+from .srscan import DegreeSet, scan_powerset
 
 __version__ = "0.1.0"
 
@@ -53,16 +52,13 @@ __all__ = [
     "FanOracle",
     "INFINITE",
     "ModelError",
-    "MultiplicityTable",
     "NonFiniteCohomologyError",
     "ToricVarietyModel",
     "alexander_dual",
     "bundled_model_names",
     "canonical_class",
     "cohomology",
-    "cohomology_all",
     "cohomology_via_fan",
-    "contributing_degrees",
     "engine_for",
     "enumerate_neg_group",
     "fan_complex",

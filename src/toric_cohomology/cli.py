@@ -2,11 +2,10 @@
 
 Reads a variety file, computes cohomology vectors for one or many divisor
 classes, and emits table, CSV, or JSON reports.  Optional flags rerun each
-class through the fan-route oracle, the Serre duality self-test, and the
-filtered/unfiltered summation comparison.
+class through the fan-route oracle and the Serre duality self-test.
 
-Exit codes: 0 success, 1 input/parse errors, 2 non-finite cohomology,
-3 a requested check failed.
+Exit codes: 0 success, 1 input/parse errors (usage errors included),
+2 non-finite cohomology, 3 a requested check failed.
 """
 
 from __future__ import annotations
@@ -27,8 +26,16 @@ from .oracle import oracle_for
 RATIONOM_LISTING_LIMIT = 50
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; argparse's 2 is non-finite here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="toric-cohomology",
         description="Line-bundle sheaf cohomology dimensions on simplicial "
         "projective toric varieties (exact arithmetic).",
@@ -55,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify every result against the fan-route oracle")
     p.add_argument("--serre-check", action="store_true",
                    help="verify Serre duality for every class")
-    p.add_argument("--unfiltered-debug", action="store_true",
-                   help="assert dual-filtered and unfiltered sums agree")
     return p
 
 
@@ -170,10 +175,6 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
             if args.serre_check:
                 ok, _ = engine.serre_check(alpha)
                 checks.append(("serre", ok))
-                checks_failed |= not ok
-            if args.unfiltered_debug:
-                ok = engine.filter_equivalence(alpha)
-                checks.append(("filter", ok))
                 checks_failed |= not ok
             rows.append((result, checks))
     except NonFiniteCohomologyError as exc:

@@ -209,7 +209,7 @@ class NegGroupCounter:
         self._counts[key] = result
         return result
 
-    def enumerate(self, alpha: DivisorClass, sigma: int, limit: int | None = None):
+    def enumerate(self, alpha: DivisorClass, sigma: int):
         """The explicit exponent vectors of a finite neg-group, lexicographic."""
         u0 = self._base_point(alpha)
         if u0 is None:
@@ -223,7 +223,7 @@ class NegGroupCounter:
             for ys in _lattice_points(rows, d)
         ]
         points.sort()
-        return points if limit is None else points[:limit]
+        return points
 
 
 _counters: Dict[ToricVarietyModel, NegGroupCounter] = {}
@@ -241,9 +241,9 @@ def neg_group_count(model: ToricVarietyModel, alpha: DivisorClass, sigma: int) -
 
 
 def enumerate_neg_group(
-    model: ToricVarietyModel, alpha: DivisorClass, sigma: int, limit: int | None = None
+    model: ToricVarietyModel, alpha: DivisorClass, sigma: int
 ) -> list[tuple[int, ...]]:
-    return counter_for(model).enumerate(alpha, sigma, limit)
+    return counter_for(model).enumerate(alpha, sigma)
 
 
 def format_rationom(model: ToricVarietyModel, u: Sequence[int]) -> str:

@@ -1,25 +1,26 @@
 """Assembly of the cohomology dimension formula, with breakdowns and self-checks.
 
 For each squarefree degree with a nonzero multiplicity factor map, the
-neg-group count of its support is weighted into h^(|sigma| - r).  By
-default the sum runs over every scanned degree with nonzero factors: on
-complete fans this coincides with the dual-degree-filtered sum (the
-factors of filtered-out degrees vanish), while on defective input it
-surfaces a divergent term as a hard error instead of silently dropping it.
-The filtered variant is available for the debug equivalence check.
+neg-group count of its support is weighted into h^(|sigma| - r).  The sum
+runs over every lcm-lattice degree with nonzero factors.  On a complete
+fan each of them has its complement degree in the lattice too (the
+vanishing theorem: the factors of every other degree are zero), so this
+is the paper's dual-degree sum; on defective input a divergent term
+surfaces as a hard error instead of being silently dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence
+from functools import cached_property
+from typing import Dict, Sequence
 
 from ._bits import bitstring
 from .counting import CountResult, NegGroupCounter, counter_for
 from .errors import NonFiniteCohomologyError
 from .model import DivisorClass, ToricVarietyModel, canonical_class
-from .multiplicity import MultiplicityTable, multiplicity_table
-from .srscan import DegreeSet, contributing_degrees, scan_powerset
+from .multiplicity import multiplicity_table
+from .srscan import DegreeSet, scan_powerset
 
 
 @dataclass
@@ -27,7 +28,6 @@ class BreakdownEntry:
     """One degree's contribution to a cohomology vector."""
 
     degree: int
-    support_size: int
     count: CountResult
     factors: Dict[int, int]
     contrib: Dict[int, int]
@@ -49,35 +49,19 @@ class CohomologyEngine:
 
     def __init__(self, model: ToricVarietyModel):
         self.model = model
-        self._degree_set: DegreeSet | None = None
-        self._table: MultiplicityTable | None = None
         self.counter: NegGroupCounter = counter_for(model)
 
-    @property
+    @cached_property
     def degree_set(self) -> DegreeSet:
-        if self._degree_set is None:
-            self._degree_set = scan_powerset(self.model.sr_generators, self.model.n)
-        return self._degree_set
+        return scan_powerset(self.model.sr_generators, self.model.n)
 
-    @property
-    def table(self) -> MultiplicityTable:
-        if self._table is None:
-            self._table = multiplicity_table(self.degree_set, self.degree_set.degrees())
-        return self._table
+    @cached_property
+    def table(self) -> Dict[int, Dict[int, int]]:
+        """{degree: {r: beta}} over the lcm lattice, in degree order."""
+        return multiplicity_table(self.degree_set)
 
-    def _active_degrees(self, dual_filter: bool) -> list[int]:
-        degrees = contributing_degrees(self.degree_set) if dual_filter \
-            else self.degree_set.degrees()
-        return [deg for deg in degrees if self.table.factors(deg)]
-
-    def cohomology(self, alpha: DivisorClass, dual_filter: bool = False) -> CohomologyResult:
-        """h^0..h^d of the line bundle selected by alpha, with breakdown.
-
-        dual_filter=True restricts the sum to degrees whose complement
-        degree also occurs (the reduced algorithm formula); the default
-        keeps every degree with nonzero factors, which is equivalent on
-        complete fans and safe on anything else.
-        """
+    def cohomology(self, alpha: DivisorClass) -> CohomologyResult:
+        """h^0..h^d of the line bundle selected by alpha, with breakdown."""
         alpha = tuple(alpha)
         if len(alpha) != self.model.num_classes:
             raise ValueError(
@@ -86,8 +70,9 @@ class CohomologyEngine:
         d = self.model.dim
         dims = [0] * (d + 1)
         breakdown = []
-        for deg in self._active_degrees(dual_filter):
-            factors = self.table.factors(deg)
+        for deg, factors in self.table.items():
+            if not factors:
+                continue
             count = self.counter.count(alpha, deg)
             if count.is_infinite:
                 raise NonFiniteCohomologyError(
@@ -106,13 +91,8 @@ class CohomologyEngine:
                 if count.value:
                     contrib[i] = contrib.get(i, 0) + count.value * beta
                     dims[i] += count.value * beta
-            breakdown.append(BreakdownEntry(deg, size, count, dict(factors), contrib))
+            breakdown.append(BreakdownEntry(deg, count, dict(factors), contrib))
         return CohomologyResult(alpha=alpha, dims=tuple(dims), breakdown=breakdown)
-
-    def cohomology_all(
-        self, alphas: Iterable[Sequence[int]], dual_filter: bool = False
-    ) -> list[CohomologyResult]:
-        return [self.cohomology(a, dual_filter=dual_filter) for a in alphas]
 
     def serre_check(self, alpha: DivisorClass):
         """Compare h^i(alpha) against h^(d-i)(K - alpha); returns (ok, report)."""
@@ -131,13 +111,6 @@ class CohomologyEngine:
         }
         return ok, report
 
-    def filter_equivalence(self, alpha: DivisorClass) -> bool:
-        """Debug check: filtered and unfiltered sums agree (complete fans)."""
-        return (
-            self.cohomology(alpha, dual_filter=True).dims
-            == self.cohomology(alpha, dual_filter=False).dims
-        )
-
 
 _engines: Dict[ToricVarietyModel, CohomologyEngine] = {}
 
@@ -148,12 +121,8 @@ def engine_for(model: ToricVarietyModel) -> CohomologyEngine:
     return _engines[model]
 
 
-def cohomology(model: ToricVarietyModel, alpha: Sequence[int], **kw) -> CohomologyResult:
-    return engine_for(model).cohomology(tuple(alpha), **kw)
-
-
-def cohomology_all(model: ToricVarietyModel, alphas: Iterable[Sequence[int]], **kw):
-    return engine_for(model).cohomology_all(alphas, **kw)
+def cohomology(model: ToricVarietyModel, alpha: Sequence[int]) -> CohomologyResult:
+    return engine_for(model).cohomology(tuple(alpha))
 
 
 def serre_check(model: ToricVarietyModel, alpha: Sequence[int]):

@@ -20,7 +20,6 @@ from .exact_linalg import integer_rank
 MAX_VERTICES = 63
 
 DivisorClass = tuple[int, ...]
-DegreeVector = tuple[int, ...]
 
 
 def _minimalize(masks: Iterable[int]) -> list[int]:

@@ -13,8 +13,7 @@ scanned degrees is the natural cached object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 from ._bits import bits
 from .errors import ModelError
@@ -112,20 +111,6 @@ def multiplicity_factors(degree_set: DegreeSet, degree: int) -> Dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-@dataclass
-class MultiplicityTable:
-    """Factor maps per squarefree degree; empty maps mark pure-zero degrees."""
-
-    table: Dict[int, Dict[int, int]]
-
-    def factors(self, degree: int) -> Dict[int, int]:
-        return self.table[degree]
-
-    def nonzero_degrees(self) -> list[int]:
-        return sorted(d for d, f in self.table.items() if f)
-
-
-def multiplicity_table(degree_set: DegreeSet, degrees: Iterable[int]) -> MultiplicityTable:
-    return MultiplicityTable(
-        {deg: multiplicity_factors(degree_set, deg) for deg in degrees}
-    )
+def multiplicity_table(degree_set: DegreeSet) -> Dict[int, Dict[int, int]]:
+    """{degree: {r: beta}} for every lattice degree, in degree order; {} marks zero."""
+    return {deg: multiplicity_factors(degree_set, deg) for deg in degree_set.degrees()}

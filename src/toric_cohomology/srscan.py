@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
-from ._bits import complement
 from .errors import ModelError
 
 MAX_DEGREES = 1 << 16
@@ -61,12 +60,3 @@ def scan_powerset(sr_generators: Sequence[int], n: int) -> DegreeSet:
         tau = sum(1 << i for i, g in enumerate(supports) if g & ~deg == 0)
         entries[deg] = {bin(tau).count("1"): [tau]}
     return DegreeSet(n=n, t=len(supports), supports=supports, entries=entries)
-
-
-def contributing_degrees(degree_set: DegreeSet, n: int | None = None) -> list[int]:
-    """Degrees whose complement degree also occurs (the dual-degree filter)."""
-    n = degree_set.n if n is None else n
-    return sorted(
-        deg for deg in degree_set.entries
-        if complement(deg, n) in degree_set.entries
-    )

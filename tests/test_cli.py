@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import toric_cohomology
-from toric_cohomology.cli import build_parser, parse_box_spec, parse_class_spec, run
+from toric_cohomology.cli import build_parser, main, parse_box_spec, parse_class_spec, run
 from toric_cohomology.errors import ModelError
 
 DATA = resources.files("toric_cohomology") / "data"
@@ -62,11 +62,10 @@ class TestTableOutput:
 
     def test_checks_pass_tags(self, p2_path):
         code, out, _ = invoke(
-            [p2_path, "--class", "2", "--oracle-check", "--serre-check",
-             "--unfiltered-debug"]
+            [p2_path, "--class", "2", "--oracle-check", "--serre-check"]
         )
         assert code == 0
-        assert out == "(2): 6 0 0  [oracle PASS]  [serre PASS]  [filter PASS]\n"
+        assert out == "(2): 6 0 0  [oracle PASS]  [serre PASS]\n"
 
     def test_box_rows_sorted(self, p1xp1_path):
         code, out, _ = invoke([p1xp1_path, "--box", "0..1,0..1"])
@@ -159,6 +158,28 @@ class TestErrorPaths:
     def test_bad_box(self, p2_path):
         code, _, err = invoke([p2_path, "--box", "5..1"])
         assert code == 1 and "exceeds" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["P2.json", "--class", "1", "--bogus"], "unrecognized arguments: --bogus"),
+    (["P2.json", "--class", "1", "--unfiltered-debug"], "unrecognized arguments"),
+    ([], "required: input"),
+    (["P2.json", "--class", "1", "--format", "xml"], "invalid choice: 'xml'"),
+], ids=["unknown-flag", "removed-flag", "no-input", "bad-format"])
+def test_usage_error_exits_1(argv, message, capsys):
+    # argparse's own code 2 is the documented code for non-finite cohomology
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.startswith("usage: toric-cohomology") and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    out, _ = capsys.readouterr()
+    assert exc.value.code == 0 and out.startswith("usage: toric-cohomology")
 
 
 def test_non_finite_exit_code(tmp_path):

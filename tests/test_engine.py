@@ -9,7 +9,6 @@ from toric_cohomology import (
     ToricVarietyModel,
     canonical_class,
     cohomology,
-    cohomology_all,
     engine_for,
     load_bundled,
     serre_check,
@@ -70,21 +69,17 @@ class TestCohomology:
 
 class TestBatch:
     def test_p2_series(self, p2):
-        got = [r.dims for r in cohomology_all(p2, [(-1,), (0,), (1,)])]
+        got = [cohomology(p2, a).dims for a in [(-1,), (0,), (1,)]]
         assert got == [(0, 0, 0), (1, 0, 0), (3, 0, 0)]
 
-    def test_empty(self, p2):
-        assert cohomology_all(p2, []) == []
-
     def test_p1xp1_kunneth_box(self, p1xp1):
-        alphas = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
-        for res in cohomology_all(p1xp1, alphas):
-            a, b = res.alpha
-            expect = [0] * 3
-            for p in range(2):
-                for q in range(2):
-                    expect[p + q] += p1_dims(a)[p] * p1_dims(b)[q]
-            assert res.dims == tuple(expect)
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                expect = [0] * 3
+                for p in range(2):
+                    for q in range(2):
+                        expect[p + q] += p1_dims(a)[p] * p1_dims(b)[q]
+                assert cohomology(p1xp1, (a, b)).dims == tuple(expect)
 
 
 class TestSerre:
@@ -143,24 +138,23 @@ class TestNonFinite:
                 cohomology(m, alpha)  # must not raise
 
 
-class TestFilterEquivalence:
-    def test_bundled_models(self):
-        rng = random.Random(13)
-        for name in ALL_MODELS:
-            eng = engine_for(load_bundled(name))
-            for _ in range(10):
-                alpha = tuple(
-                    rng.randint(-3, 3) for _ in range(eng.model.num_classes)
-                )
-                assert eng.filter_equivalence(alpha)
-
-
 def test_determinism_and_caching(p2):
     a = cohomology(p2, (4,))
     b = cohomology(p2, (4,))
     assert a.dims == b.dims == (math.comb(6, 2), 0, 0)
     eng = engine_for(p2)
     assert eng.degree_set is engine_for(p2).degree_set
+
+
+def test_breakdown_lists_the_nonzero_factor_degrees():
+    # dP3: 46 lattice degrees, 12 of them with zero factors
+    model = load_bundled("dP3")
+    eng = engine_for(model)
+    nonzero = [deg for deg, factors in sorted(eng.table.items()) if factors]
+    assert len(nonzero) == 34 and len(eng.table) == 46
+    assert list(eng.table) == sorted(eng.table)
+    breakdown = cohomology(model, (1, 1, 0, -1)).breakdown
+    assert [entry.degree for entry in breakdown] == nonzero
 
 
 def test_nonnegative_dims_everywhere():

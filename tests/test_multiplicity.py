@@ -14,9 +14,8 @@ from toric_cohomology import (
 )
 from toric_cohomology.multiplicity import MAX_FACES
 from toric_cohomology.oracle import fan_complex
-from toric_cohomology.srscan import contributing_degrees
 
-from util import gamma_factor_table, polygon_model, polygon_rays
+from util import contributing_degrees, gamma_factor_table, polygon_model, polygon_rays
 
 
 def test_p2_factors():
@@ -43,9 +42,7 @@ def test_triangle_generators_stress_case():
 
 def test_tables_assemble_sparsely():
     p = scan_powerset((0b111,), 3)
-    table = multiplicity_table(p, p.degrees())
-    assert table.table == {0: {0: 1}, 0b111: {1: 1}}
-    assert table.nonzero_degrees() == [0, 0b111]
+    assert multiplicity_table(p) == {0: {0: 1}, 0b111: {1: 1}}
 
 
 def test_factor_range_bounds():
@@ -99,7 +96,7 @@ def test_equals_gamma_reference_on_bundled_models():
     for name in ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3"):
         model = load_bundled(name)
         p = scan_powerset(model.sr_generators, model.n)
-        table = multiplicity_table(p, p.degrees()).table
+        table = multiplicity_table(p)
         assert table == gamma_factor_table(model.sr_generators, model.n), name
 
 
@@ -118,7 +115,7 @@ def test_degree_outside_the_lattice_rejected():
 def test_large_tables_are_fast(name, gens, n, top):
     start = time.perf_counter()
     p = scan_powerset(gens, n)
-    table = multiplicity_table(p, p.degrees()).table
+    table = multiplicity_table(p)
     elapsed = time.perf_counter() - start
     assert len(table) == 2 ** len(gens)
     assert table[(1 << n) - 1] == top
@@ -129,7 +126,7 @@ def test_large_tables_are_fast(name, gens, n, top):
 def test_equals_gamma_reference_on_polygon_fans(gaps):
     model = polygon_model(polygon_rays(gaps))
     p = scan_powerset(model.sr_generators, model.n)
-    table = multiplicity_table(p, p.degrees()).table
+    table = multiplicity_table(p)
     assert table == gamma_factor_table(model.sr_generators, model.n)
 
 
@@ -153,7 +150,7 @@ def test_overlapping_large_generators_are_fast(case):
     gens, n = case()
     start = time.perf_counter()
     p = scan_powerset(gens, n)
-    table = multiplicity_table(p, p.degrees()).table
+    table = multiplicity_table(p)
     assert time.perf_counter() - start < 1.0
     assert table == gamma_factor_table(gens, n)
 
@@ -165,7 +162,7 @@ def test_face_bound():
     p = scan_powerset(gens, 12)
     start = time.perf_counter()
     with pytest.raises(ModelError, match=f"more than {MAX_FACES} faces"):
-        multiplicity_table(p, p.degrees())
+        multiplicity_table(p)
     assert time.perf_counter() - start < 5.0
 
 
@@ -182,7 +179,7 @@ def test_vertex_classes_merge():
     heptagon = scan_powerset(model.sr_generators, model.n)
     doubled = scan_powerset([double(g) for g in model.sr_generators], 2 * model.n)
     start = time.perf_counter()
-    table = multiplicity_table(doubled, doubled.degrees()).table
+    table = multiplicity_table(doubled)
     assert time.perf_counter() - start < 1.0
-    expected = multiplicity_table(heptagon, heptagon.degrees()).table
+    expected = multiplicity_table(heptagon)
     assert table == {double(d): f for d, f in expected.items()}

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from toric_cohomology import ModelError, contributing_degrees, scan_powerset
+from toric_cohomology import ModelError, scan_powerset
 from toric_cohomology.srscan import MAX_DEGREES
 
-from util import gamma_complex, naive_degree_map
+from util import contributing_degrees, gamma_complex, naive_degree_map
 
 P2_GENS = (0b111,)
 P1XP1_GENS = (0b0011, 0b1100)
@@ -96,6 +96,8 @@ class TestGammaComplex:
 
 
 class TestContributingDegrees:
+    """The dual-degree filter: the reference of acceptance criterion 9."""
+
     def test_p2(self):
         p = scan_powerset(P2_GENS, 3)
         assert contributing_degrees(p) == [0, 0b111]

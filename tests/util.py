@@ -149,6 +149,12 @@ def gamma_factor_table(generators, n) -> dict[int, dict[int, int]]:
     return table
 
 
+def contributing_degrees(degree_set) -> list[int]:
+    """Lattice degrees whose complement degree is in the lattice too (the dual-degree filter)."""
+    full = (1 << degree_set.n) - 1
+    return sorted(deg for deg in degree_set.entries if full ^ deg in degree_set.entries)
+
+
 def polygon_rays(gaps):
     """Rays of a complete smooth fan: P2's, blown up once per entry of `gaps`.
 
@@ -174,6 +180,18 @@ def polygon_model(rays):
         tuple(tuple(col[i] for col in kernel) for i in range(n)),
         tuple(sr_from_max_cones(cones, n)),
         cones,
+    )
+
+
+def product_model(a, b):
+    """The product variety: block-diagonal charges, product cones, shifted generators."""
+    pad_a, pad_b = (0,) * b.num_classes, (0,) * a.num_classes
+    return ToricVarietyModel(
+        a.coordinate_names + tuple(f"y{i + 1}" for i in range(b.n)),
+        a.dim + b.dim,
+        tuple(row + pad_a for row in a.charges) + tuple(pad_b + row for row in b.charges),
+        a.sr_generators + tuple(g << a.n for g in b.sr_generators),
+        tuple(ca | cb << a.n for ca in a.max_cones for cb in b.max_cones),
     )
 
 
