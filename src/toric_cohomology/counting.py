@@ -4,10 +4,12 @@ For a divisor class alpha and a coordinate subset sigma, the neg-group is
 the set of integer vectors u with charge image alpha whose negative entries
 sit exactly on sigma.  Substituting u_i = -1 - w_i on sigma and u_i = w_i
 elsewhere turns this into counting nonnegative integer solutions of a small
-linear system.  A class outside the charge lattice has an empty fiber;
-otherwise infinitude is decided by an exact rational recession test on
-that system, and finite fibers are enumerated by parametrizing the
-class lattice (integer kernel of the charge map) and walking the resulting
+linear system.  A class outside the charge lattice has an empty fiber.
+Otherwise the recession test asks the exact simplex whether the cone
+{A w = 0, w >= 0} of that system is nonzero; a receding fiber is empty
+when Fourier-Motzkin finds no rational point in it and infinite
+otherwise.  Finite fibers are enumerated by parametrizing the class
+lattice (integer kernel of the charge map) and walking the resulting
 polytope with exact Fourier-Motzkin bounds.
 
 All arithmetic is exact; no floating point is used anywhere.
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Sequence
 
 from .exact_linalg import DiagonalizedSystem
-from .lp import OPTIMAL, simplex_maximize
+from .lp import UNBOUNDED, simplex_maximize
 from .model import DivisorClass, ToricVarietyModel
 
 
@@ -55,25 +57,14 @@ def signed_system(model: ToricVarietyModel, sigma: int) -> list[list[int]]:
 def recession_test(a: Sequence[Sequence[int]]) -> bool:
     """True iff A w = 0 admits a nonzero nonnegative rational solution.
 
-    Decided exactly: maximize sum(w) subject to A w = 0 and 0 <= w_i <= 1
-    (slack variables make the box equational); a positive optimum is
-    equivalent to a nonzero nonnegative kernel vector.
+    Decided exactly by the simplex: every nonzero w >= 0 has sum(w) > 0, so
+    the cone {A w = 0, w >= 0} is nonzero iff sum(w) is unbounded on it.
     """
-    m = len(a)
     n = len(a[0]) if a else 0
     if n == 0:
         return False
-    rows = [list(row) + [0] * n for row in a]
-    for i in range(n):
-        box = [0] * (2 * n)
-        box[i] = 1
-        box[n + i] = 1
-        rows.append(box)
-    b = [0] * m + [1] * n
-    c = [1] * n + [0] * n
-    status, value, _ = simplex_maximize(rows, b, c)
-    assert status == OPTIMAL  # the box makes the program bounded and w=0 feasible
-    return value > 0
+    status, _, _ = simplex_maximize(a, [0] * len(a), [1] * n)
+    return status == UNBOUNDED
 
 
 def _fm_eliminate(rows, var):
@@ -131,6 +122,13 @@ def _first_var_range(rows, nvars):
     if lo > hi:
         return None
     return math.ceil(lo), math.floor(hi)
+
+
+def _rationally_empty(rows, nvars) -> bool:
+    """True iff {y : coeffs . y <= rhs} has no rational point."""
+    for var in range(nvars - 1, -1, -1):
+        rows = _fm_eliminate(rows, var)
+    return any(rhs < 0 for _, rhs in rows)
 
 
 def _lattice_points(rows, nvars) -> Iterator[tuple[int, ...]]:
@@ -202,7 +200,8 @@ class NegGroupCounter:
         if u0 is None:  # alpha is not in the charge lattice: no vectors at all
             result = CountResult(0)
         elif self.recession(sigma):
-            result = INFINITE
+            empty = _rationally_empty(*self._inequalities(u0, sigma))
+            result = CountResult(0) if empty else INFINITE
         else:
             rows, d = self._inequalities(u0, sigma)
             result = CountResult(sum(1 for _ in _lattice_points(rows, d)))
@@ -215,6 +214,8 @@ class NegGroupCounter:
         if u0 is None:
             return []
         if self.recession(sigma):
+            if _rationally_empty(*self._inequalities(u0, sigma)):
+                return []
             raise ValueError("cannot enumerate an infinite neg-group")
         rows, d = self._inequalities(u0, sigma)
         points = [

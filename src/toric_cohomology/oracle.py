@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Sequence
 
 from ._bits import bitstring, complement
 from .counting import counter_for
+from .engine import engine_for
 from .errors import ModelError, NonFiniteCohomologyError
 from .model import DivisorClass, ToricVarietyModel
-from .multiplicity import multiplicity_factors
 from .simplicial import FaceSet, reduced_homology, restrict
-from .srscan import scan_powerset
 
 MAX_SCAN_VERTICES = 20
 
@@ -63,6 +63,18 @@ class FanOracle:
             self._homology[sigma] = reduced_homology(restrict(self.complex, sigma))
         return self._homology[sigma]
 
+    @cached_property
+    def terms(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(sigma, weights into h^0..h^d) for every subset with nonzero weights."""
+        n, d = self.model.n, self.model.dim
+        terms = []
+        for sigma in range(1 << n):
+            hom = self.restriction_homology(complement(sigma, n))
+            weights = tuple(hom.get(d - i - 1, 0) for i in range(d + 1))
+            if any(weights):
+                terms.append((sigma, weights))
+        return terms
+
     def cohomology_via_fan(self, alpha: DivisorClass) -> tuple[int, ...]:
         """h^0..h^d by the collected local-cohomology formula over all subsets."""
         alpha = tuple(alpha)
@@ -70,18 +82,13 @@ class FanOracle:
             raise ValueError(
                 f"divisor class needs {self.model.num_classes} entries, got {len(alpha)}"
             )
-        n, d = self.model.n, self.model.dim
-        dims = [0] * (d + 1)
-        for sigma in range(1 << n):
-            hom = self.restriction_homology(complement(sigma, n))
-            weights = [hom.get(d - i - 1, 0) for i in range(d + 1)]
-            if not any(weights):
-                continue
+        dims = [0] * (self.model.dim + 1)
+        for sigma, weights in self.terms:
             count = self.counter.count(alpha, sigma)
             if count.is_infinite:
                 raise NonFiniteCohomologyError(
                     "non-finite cohomology: infinite neg-group at sigma "
-                    f"{bitstring(sigma, n)} with nonzero restriction homology"
+                    f"{bitstring(sigma, self.model.n)} with nonzero restriction homology"
                 )
             for i, w in enumerate(weights):
                 dims[i] += count.value * w
@@ -98,9 +105,9 @@ class FanOracle:
         listing, not an independent derivation (see tests/util.py).
         """
         n = self.model.n
-        degree_set = scan_powerset(self.model.sr_generators, n)
+        table = engine_for(self.model).table
         report = HochsterReport()
-        for deg in degree_set.degrees():
+        for deg, factors in table.items():
             size = bin(deg).count("1")
             hom = self.restriction_homology(deg)
             hochster = {
@@ -108,14 +115,13 @@ class FanOracle:
                 for r in range(0, size + 1)
                 if hom.get(size - r - 1)
             }
-            factors = multiplicity_factors(degree_set, deg)
             report.checked += 1
             if hochster != factors:
                 report.mismatches.append(
                     f"degree {bitstring(deg, n)}: factor table {factors} "
                     f"!= Hochster {hochster}"
                 )
-        outside = [m for m in range(1 << n) if m not in degree_set.entries]
+        outside = [m for m in range(1 << n) if m not in table]
         if len(outside) > sample_size:
             outside = random.Random(seed).sample(outside, sample_size)
         for deg in outside:

@@ -196,6 +196,19 @@ def test_non_finite_exit_code(tmp_path):
     assert code == 2 and "non-finite" in err
 
 
+def test_receding_fiber_without_rational_points(tmp_path):
+    # x2 has charge 0, so both lattice degrees recede along u2; class -2
+    # needs u1 = -1 off sigma, so its fibers are empty, while class 2 has
+    # the infinite fiber u1 = 1, u2 >= 0 over the empty sigma
+    model = {"coordinates": ["x1", "x2"], "dimension": 1,
+             "charges": [[2], [0]], "sr_ideal": [[2]]}
+    path = tmp_path / "receding.json"
+    path.write_text(json.dumps(model))
+    assert invoke([str(path), "--class=-2"]) == (0, "(-2): 0 0\n", "")
+    code, _, err = invoke([str(path), "--class=2"])
+    assert code == 2 and "non-finite" in err
+
+
 def test_binary_model_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes(b"\xff\xfe\x00binary")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -12,8 +13,20 @@ from toric_cohomology import (
 )
 from toric_cohomology._bits import mask_of
 from toric_cohomology.counting import counter_for, format_rationom, signed_system
+from toric_cohomology.model import parse_variety
 
-from util import brute_force_neg_group, charge_image, neg_mask, series_count
+from util import (
+    boxed_recession_test,
+    brute_force_neg_group,
+    charge_image,
+    neg_mask,
+    polygon_model,
+    polygon_rays,
+    series_count,
+)
+
+RECEDING = {"coordinates": ["x1", "x2"], "dimension": 1,
+             "charges": [[2], [0]], "sr_ideal": [[2]]}
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +68,19 @@ class TestRecessionTest:
                 assert got  # a rational ray certainly exists
             # (no integer witness in the box does not prove the cone trivial,
             # so only the forward implication is asserted here)
+            assert got == boxed_recession_test(a)
+
+    def test_matches_boxed_program_on_every_sigma(self):
+        models = [load_bundled(name) for name in ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3")]
+        models += [polygon_model(polygon_rays([0, 2, 4, 6][:n - 3])) for n in range(3, 8)]
+        for model in models:
+            for sigma in range(1 << model.n):
+                a = signed_system(model, sigma)
+                assert recession_test(a) == boxed_recession_test(a), (model.n, sigma)
+
+    def test_zero_rows_recede(self):
+        assert recession_test([[0, 0]]) is True
+        assert recession_test([[0, 0], [1, 1]]) is False
 
 
 class TestCounts:
@@ -74,6 +100,20 @@ class TestCounts:
     def test_empty_when_class_unreachable(self, p2):
         assert neg_group_count(p2, (-1,), 0).value == 0
         assert neg_group_count(p2, (2,), 0b111).value == 0
+
+    def test_receding_fiber_empty_over_q(self):
+        # x2 has charge 0, so every sigma recedes along u2; class -2 needs
+        # u1 = -1, which no sigma leaving x1 nonnegative admits
+        model = parse_variety(json.dumps(RECEDING))
+        counter = counter_for(model)
+        for sigma in (0b00, 0b10):
+            assert counter.recession(sigma)
+            assert neg_group_count(model, (-2,), sigma).value == 0
+            assert enumerate_neg_group(model, (-2,), sigma) == []
+        assert neg_group_count(model, (2,), 0b00).is_infinite
+        assert neg_group_count(model, (-2,), 0b01).is_infinite
+        with pytest.raises(ValueError, match="infinite"):
+            enumerate_neg_group(model, (2,), 0b00)
 
 
 class TestEnumerate:

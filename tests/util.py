@@ -4,7 +4,7 @@ Everything here deliberately avoids the optimized code paths it is used to
 check: dense rational boundary matrices instead of the fraction-free route,
 full powerset loops and the paper's exact-degree complexes instead of the
 lcm-lattice closure and Hochster's formula, bounding-box searches instead
-of polytope walks.
+of polytope walks, a boxed program instead of the cone's.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from toric_cohomology._bits import bits, mask_of
 from toric_cohomology.exact_linalg import DiagonalizedSystem
+from toric_cohomology.lp import OPTIMAL, simplex_maximize
 from toric_cohomology.model import ToricVarietyModel, sr_from_max_cones
 from toric_cohomology.simplicial import FaceSet
 
@@ -210,6 +211,25 @@ def polygon_sections(rays, a) -> int:
         for m2 in range(lo2, top - lo1 + 1)
         if all(m1 * v[0] + m2 * v[1] + ai >= 0 for v, ai in zip(rays, a))
     )
+
+
+def boxed_recession_test(a) -> bool:
+    """The recession test as a bounded program: maximize sum(w) subject to
+    A w = 0 and 0 <= w_i <= 1 (slack variables make the box equational); a
+    positive optimum is a nonzero nonnegative kernel vector."""
+    m = len(a)
+    n = len(a[0]) if a else 0
+    if n == 0:
+        return False
+    rows = [list(row) + [0] * n for row in a]
+    for i in range(n):
+        box = [0] * (2 * n)
+        box[i] = 1
+        box[n + i] = 1
+        rows.append(box)
+    status, value, _ = simplex_maximize(rows, [0] * m + [1] * n, [1] * n + [0] * n)
+    assert status == OPTIMAL  # the box bounds the program and w = 0 is feasible
+    return value > 0
 
 
 def charge_image(model, u):
