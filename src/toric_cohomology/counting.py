@@ -2,15 +2,12 @@
 
 For a divisor class alpha and a coordinate subset sigma, the neg-group is
 the set of integer vectors u with charge image alpha whose negative entries
-sit exactly on sigma.  Substituting u_i = -1 - w_i on sigma and u_i = w_i
-elsewhere turns this into counting nonnegative integer solutions of a small
-linear system.  A class outside the charge lattice has an empty fiber.
-Otherwise the recession test asks the exact simplex whether the cone
-{A w = 0, w >= 0} of that system is nonzero; a receding fiber is empty
-when Fourier-Motzkin finds no rational point in it and infinite
-otherwise.  Finite fibers are enumerated by parametrizing the class
-lattice (integer kernel of the charge map) and walking the resulting
-polytope with exact Fourier-Motzkin bounds.
+sit exactly on sigma.  A class outside the charge lattice has an empty
+fiber.  Otherwise u = u0 + K y over an integer kernel basis K of the charge
+map, and the signs of u become rows `coeffs . y <= rhs` over y in Z^d.  One
+Fourier-Motzkin routine decides them: the recession test on the
+homogeneous rows (sigma only), rational emptiness of a receding fiber
+(empty, else infinite), and the walk over the lattice points of a finite one.
 
 All arithmetic is exact; no floating point is used anywhere.
 """
@@ -19,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, Sequence
 
 from .exact_linalg import DiagonalizedSystem
-from .lp import UNBOUNDED, simplex_maximize
+from .lp import simplex_maximize  # noqa: F401  no caller here; bench/spans.py wraps this name
 from .model import DivisorClass, ToricVarietyModel
 
 
@@ -44,29 +40,6 @@ class CountResult:
 INFINITE = CountResult(None)
 
 
-def signed_system(model: ToricVarietyModel, sigma: int) -> list[list[int]]:
-    """Rows of the matrix A with column i equal to -q_i on sigma and +q_i off it."""
-    k = model.num_classes
-    return [
-        [-model.charges[i][j] if sigma >> i & 1 else model.charges[i][j]
-         for i in range(model.n)]
-        for j in range(k)
-    ]
-
-
-def recession_test(a: Sequence[Sequence[int]]) -> bool:
-    """True iff A w = 0 admits a nonzero nonnegative rational solution.
-
-    Decided exactly by the simplex: every nonzero w >= 0 has sum(w) > 0, so
-    the cone {A w = 0, w >= 0} is nonzero iff sum(w) is unbounded on it.
-    """
-    n = len(a[0]) if a else 0
-    if n == 0:
-        return False
-    status, _, _ = simplex_maximize(a, [0] * len(a), [1] * n)
-    return status == UNBOUNDED
-
-
 def _fm_eliminate(rows, var):
     """Fourier-Motzkin elimination of one variable from `coeffs . y <= rhs` rows."""
     pos, neg, out = [], [], []
@@ -84,44 +57,66 @@ def _fm_eliminate(rows, var):
             an = -cn[var]
             co = tuple(an * x + ap * y for x, y in zip(cp, cn))
             out.append((co, an * rp + ap * rn))
-    # dedupe and reduce by content where exact
-    seen = set()
-    cleaned = []
+    # dedupe, in order, and reduce by content where exact
+    cleaned = {}
     for co, rhs in out:
-        g = 0
-        for x in co:
-            g = math.gcd(g, x)
+        g = math.gcd(*co)
         if g > 1 and rhs % g == 0:
             co = tuple(x // g for x in co)
             rhs //= g
-        key = (co, rhs)
-        if key not in seen:
-            seen.add(key)
-            cleaned.append(key)
-    return cleaned
+        cleaned[co, rhs] = None
+    return list(cleaned)
 
 
-def _first_var_range(rows, nvars):
-    """Exact integer range of the first variable over the polytope, or None."""
-    proj = rows
-    for var in range(nvars - 1, 0, -1):
-        proj = _fm_eliminate(proj, var)
-    lo, hi = None, None
-    for co, rhs in proj:
-        a = co[0]
+def _recedes(rows, nvars) -> bool:
+    """True iff the homogeneous rows {y : coeffs . y <= 0} cut out a nonzero cone.
+
+    Eliminating y_(nvars-1) down to y_(k+1) leaves level k, rows over
+    y_0..y_k.  Cut at y_0 = ... = y_(k-1) = 0 it reads {a y_k <= 0}: {0}
+    exactly when both signs of a occur.  A nonzero cone point has a first
+    nonzero entry, so the cone is nonzero iff some level misses a sign.
+    """
+    rows = [(co, 0) for co, _ in rows]
+    for var in range(nvars - 1, -1, -1):
+        if {co[var] > 0 for co, _ in rows if co[var]} != {True, False}:
+            return True
+        if var:
+            rows = _fm_eliminate(rows, var)
+    return False
+
+
+def recession_test(a: Sequence[Sequence[int]]) -> bool:
+    """True iff A w = 0 admits a nonzero nonnegative rational solution.
+
+    Over an integer kernel basis K of A, w = K y, so the cone
+    {A w = 0, w >= 0} is nonzero iff {y : -K y <= 0} is (`_recedes`).
+    """
+    kernel = DiagonalizedSystem(tuple(map(tuple, a))).kernel_basis()
+    n = len(a[0]) if a else 0
+    return _recedes([(tuple(-col[i] for col in kernel), 0) for i in range(n)], len(kernel))
+
+
+def _first_var_range(rows, prefix):
+    """Exact integer range of y_k, k = len(prefix), on level-k rows at y_0..y_(k-1) = prefix.
+
+    None when empty.  Without recession the rows bound y_k on both sides.
+    """
+    k = len(prefix)
+    lo = hi = None
+    for co, rhs in rows:
+        a = co[k]
+        r = rhs - sum(c * v for c, v in zip(co, prefix))
         if a > 0:
-            bound = Fraction(rhs, a)
-            hi = bound if hi is None or bound < hi else hi
+            b = r // a
+            if hi is None or b < hi:
+                hi = b
         elif a < 0:
-            bound = Fraction(rhs, a)
-            lo = bound if lo is None or bound > lo else lo
-        elif rhs < 0:
+            b = -(r // -a)
+            if lo is None or b > lo:
+                lo = b
+        elif r < 0:
             return None  # infeasible constant constraint
-    if hi is None or lo is None:
-        raise ArithmeticError("unbounded polytope past the recession gate")
-    if lo > hi:
-        return None
-    return math.ceil(lo), math.floor(hi)
+    return (lo, hi) if lo <= hi else None
 
 
 def _rationally_empty(rows, nvars) -> bool:
@@ -131,20 +126,29 @@ def _rationally_empty(rows, nvars) -> bool:
     return any(rhs < 0 for _, rhs in rows)
 
 
+def _walk(levels, prefix) -> Iterator[tuple[int, ...]]:
+    """The lattice points extending `prefix`; levels[k] holds the rows over y_0..y_k."""
+    rng = _first_var_range(levels[len(prefix)], prefix)
+    if rng is None:
+        return
+    last = len(prefix) + 1 == len(levels)
+    for v in range(rng[0], rng[1] + 1):
+        if last:
+            yield prefix + (v,)
+        else:
+            yield from _walk(levels, prefix + (v,))
+
+
 def _lattice_points(rows, nvars) -> Iterator[tuple[int, ...]]:
-    """All integer points of {y : coeffs . y <= rhs}, assumed bounded."""
+    """All integer points of {y : coeffs . y <= rhs}, lexicographic; `_recedes` must be false."""
     if nvars == 0:
         if all(rhs >= 0 for _, rhs in rows):
             yield ()
         return
-    rng = _first_var_range(rows, nvars)
-    if rng is None:
-        return
-    lo, hi = rng
-    for v in range(lo, hi + 1):
-        sub = [(co[1:], rhs - co[0] * v) for co, rhs in rows]
-        for rest in _lattice_points(sub, nvars - 1):
-            yield (v, *rest)
+    levels = [rows]
+    for var in range(nvars - 1, 0, -1):
+        levels.append(_fm_eliminate(levels[-1], var))
+    yield from _walk(levels[::-1], ())
 
 
 class NegGroupCounter:
@@ -158,20 +162,19 @@ class NegGroupCounter:
             for j in range(model.num_classes)
         )
         self._system = DiagonalizedSystem(fmat)
-        self._kernel = self._system.kernel_basis()  # n x 1 columns, d of them
+        kernel = self._system.kernel_basis()  # d columns of length n
+        self._d = len(kernel)
+        # row i of K and its negation: the coefficients of u_i <= -1 and u_i >= 0
+        self._rows = [tuple(col[i] for col in kernel) for i in range(model.n)]
+        self._neg_rows = [tuple(-x for x in row) for row in self._rows]
         self._recession: Dict[int, bool] = {}
         self._base: Dict[DivisorClass, list[int] | None] = {}
         self._counts: Dict[tuple[DivisorClass, int], CountResult] = {}
 
     def recession(self, sigma: int) -> bool:
         if sigma not in self._recession:
-            # with no charge constraints the whole orthant recedes
-            if self.model.num_classes == 0:
-                self._recession[sigma] = self.model.n > 0
-            else:
-                self._recession[sigma] = recession_test(
-                    signed_system(self.model, sigma)
-                )
+            rows = self._inequalities((0,) * self.model.n, sigma)
+            self._recession[sigma] = _recedes(rows, self._d)
         return self._recession[sigma]
 
     def _base_point(self, alpha: DivisorClass):
@@ -182,49 +185,39 @@ class NegGroupCounter:
 
     def _inequalities(self, u0: Sequence[int], sigma: int):
         """Sign constraints on u = u0 + K y as rows (coeffs, rhs) over y."""
-        d = len(self._kernel)
-        rows = []
-        for i in range(self.model.n):
-            ki = tuple(col[i] for col in self._kernel)
-            if sigma >> i & 1:  # u_i <= -1
-                rows.append((ki, -1 - u0[i]))
-            else:  # u_i >= 0
-                rows.append((tuple(-x for x in ki), u0[i]))
-        return rows, d
+        return [
+            (self._rows[i], -1 - u0[i]) if sigma >> i & 1  # u_i <= -1
+            else (self._neg_rows[i], u0[i])  # u_i >= 0
+            for i in range(self.model.n)
+        ]
+
+    def _points(self, alpha: DivisorClass, sigma: int):
+        """The kernel coordinates y of the neg-group's vectors, or None if it is infinite."""
+        u0 = self._base_point(alpha)
+        if u0 is None:  # alpha is not in the charge lattice: no vectors at all
+            return iter(())
+        rows = self._inequalities(u0, sigma)
+        if self.recession(sigma):
+            return iter(()) if _rationally_empty(rows, self._d) else None
+        return _lattice_points(rows, self._d)
 
     def count(self, alpha: DivisorClass, sigma: int) -> CountResult:
         key = (tuple(alpha), sigma)
-        if key in self._counts:
-            return self._counts[key]
-        u0 = self._base_point(alpha)
-        if u0 is None:  # alpha is not in the charge lattice: no vectors at all
-            result = CountResult(0)
-        elif self.recession(sigma):
-            empty = _rationally_empty(*self._inequalities(u0, sigma))
-            result = CountResult(0) if empty else INFINITE
-        else:
-            rows, d = self._inequalities(u0, sigma)
-            result = CountResult(sum(1 for _ in _lattice_points(rows, d)))
-        self._counts[key] = result
-        return result
+        if key not in self._counts:
+            ys = self._points(alpha, sigma)
+            self._counts[key] = INFINITE if ys is None else CountResult(sum(1 for _ in ys))
+        return self._counts[key]
 
     def enumerate(self, alpha: DivisorClass, sigma: int):
         """The explicit exponent vectors of a finite neg-group, lexicographic."""
-        u0 = self._base_point(alpha)
-        if u0 is None:
-            return []
-        if self.recession(sigma):
-            if _rationally_empty(*self._inequalities(u0, sigma)):
-                return []
+        points = self._points(alpha, sigma)
+        if points is None:
             raise ValueError("cannot enumerate an infinite neg-group")
-        rows, d = self._inequalities(u0, sigma)
-        points = [
-            tuple(u0[i] + sum(col[i] * y for col, y in zip(self._kernel, ys))
-                  for i in range(self.model.n))
-            for ys in _lattice_points(rows, d)
-        ]
-        points.sort()
-        return points
+        u0 = self._base_point(alpha)
+        return sorted(
+            tuple(x + sum(k * y for k, y in zip(row, ys)) for x, row in zip(u0, self._rows))
+            for ys in points
+        )
 
 
 _counters: Dict[ToricVarietyModel, NegGroupCounter] = {}

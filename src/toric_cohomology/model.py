@@ -95,8 +95,9 @@ class ToricVarietyModel:
             raise ModelError(f"at most {MAX_VERTICES} coordinates supported, got {n}")
         if len(set(self.coordinate_names)) != n:
             raise ModelError("duplicate coordinate names")
-        if not 0 <= self.dim <= n:
-            raise ModelError(f"dimension {self.dim} out of range for {n} coordinates")
+        # a complete fan of dimension d >= 1 has at least d + 1 rays
+        if not 0 <= self.dim < n:
+            raise ModelError(f"dimension {self.dim} out of range 0..{n - 1} for {n} coordinates")
         k = self.num_classes
         if len(self.charges) != n:
             raise ModelError(f"expected {n} charge rows, got {len(self.charges)}")

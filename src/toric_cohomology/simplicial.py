@@ -13,6 +13,7 @@ whose H~_{-1} is one-dimensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable
 
 from ._bits import bits, complement, mask_of, submasks
@@ -57,7 +58,9 @@ class FaceSet:
     def is_void(self) -> bool:
         return not self.faces
 
+    @cached_property
     def is_subset_closed(self) -> bool:
+        """Whether every subset of a face is a face; checked once per FaceSet."""
         return all(f & ~(1 << i) in self.faces for f in self.faces for i in bits(f))
 
     def vertex_sets(self) -> list[tuple[int, ...]]:
@@ -65,7 +68,7 @@ class FaceSet:
 
 
 def _require_closed(delta: FaceSet, op: str) -> None:
-    if not delta.is_subset_closed():
+    if not delta.is_subset_closed:
         raise ValueError(f"{op} requires a subset-closed complex")
 
 

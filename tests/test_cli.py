@@ -209,6 +209,43 @@ def test_receding_fiber_without_rational_points(tmp_path):
     assert code == 2 and "non-finite" in err
 
 
+def test_dimension_equal_to_coordinate_count_exits_1(tmp_path):
+    model = {"coordinates": ["x1", "x2"], "dimension": 2,
+             "charges": [[], []], "sr_ideal": [[1, 2]]}
+    path = tmp_path / "no_classes.json"
+    path.write_text(json.dumps(model))
+    code, out, err = invoke([str(path), "--class="])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "dimension 2 out of range" in err
+    assert err.count("\n") == 1
+
+
+POINT = {"coordinates": ["x1"], "dimension": 0, "charges": [[1]],
+         "sr_ideal": [[1]], "max_cones": [[]]}
+
+POINT_BREAKDOWN = """\
+(-1): 1
+    degree 0 {} count=0 factors={0: 1} contrib={}
+    degree 1 {1} count=1 factors={1: 1} contrib={0: 1}
+      rationoms: 1/x1
+(2): 1
+    degree 0 {} count=1 factors={0: 1} contrib={0: 1}
+      rationoms: x1^2
+    degree 1 {1} count=0 factors={1: 1} contrib={}
+"""
+
+
+def test_point_model(tmp_path):
+    # d = 0: no kernel coordinates, so each class has the single vector
+    # u = (alpha,), whose sign alone decides its neg-group
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(POINT))
+    assert invoke([str(path), "--box=-2..2"]) == (
+        0, "".join(f"({a}): 1\n" for a in range(-2, 3)), "")
+    assert invoke([str(path), "--class=-1", "--class=2", "--breakdown"]) == (
+        0, POINT_BREAKDOWN, "")
+
+
 def test_binary_model_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes(b"\xff\xfe\x00binary")

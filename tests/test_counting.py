@@ -6,23 +6,27 @@ import random
 import pytest
 
 from toric_cohomology import (
+    ToricVarietyModel,
     enumerate_neg_group,
     load_bundled,
     neg_group_count,
     recession_test,
 )
 from toric_cohomology._bits import mask_of
-from toric_cohomology.counting import counter_for, format_rationom, signed_system
+from toric_cohomology.counting import counter_for, format_rationom
 from toric_cohomology.model import parse_variety
 
 from util import (
     boxed_recession_test,
     brute_force_neg_group,
     charge_image,
+    cone_recession_test,
     neg_mask,
     polygon_model,
     polygon_rays,
+    product_model,
     series_count,
+    signed_system,
 )
 
 RECEDING = {"coordinates": ["x1", "x2"], "dimension": 1,
@@ -74,9 +78,27 @@ class TestRecessionTest:
         models = [load_bundled(name) for name in ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3")]
         models += [polygon_model(polygon_rays([0, 2, 4, 6][:n - 3])) for n in range(3, 8)]
         for model in models:
+            counter = counter_for(model)
             for sigma in range(1 << model.n):
                 a = signed_system(model, sigma)
-                assert recession_test(a) == boxed_recession_test(a), (model.n, sigma)
+                expect = boxed_recession_test(a)
+                assert recession_test(a) == expect, (model.n, sigma)
+                assert counter.recession(sigma) == expect, (model.n, sigma)
+
+    def test_matches_cone_program_on_larger_models(self):
+        p1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
+        models = [
+            polygon_model(polygon_rays([0, 2, 4, 6, 1])),
+            product_model(p1, product_model(p1, load_bundled("P1xP1xP1"))),
+            product_model(load_bundled("dP3"), p1),
+        ]
+        for model in models:
+            counter = counter_for(model)
+            for sigma in range(1 << model.n):
+                a = signed_system(model, sigma)
+                expect = cone_recession_test(a)
+                assert recession_test(a) == expect, (model.n, sigma)
+                assert counter.recession(sigma) == expect, (model.n, sigma)
 
     def test_zero_rows_recede(self):
         assert recession_test([[0, 0]]) is True
@@ -149,12 +171,17 @@ class TestAgainstBruteForce:
                 assert res.value == len(expect)
 
     def test_p1xp1_box(self, p1xp1):
+        # one walk of the [-5, 5]^4 box, bucketed by (class, negative support);
+        # the walk is lexicographic, so every bucket is sorted
+        buckets = {}
+        for u in itertools.product(range(-5, 6), repeat=4):
+            buckets.setdefault((charge_image(p1xp1, u), neg_mask(u)), []).append(u)
         for alpha in itertools.product(range(-3, 3), repeat=2):
             for sigma in range(1 << 4):
                 res = neg_group_count(p1xp1, alpha, sigma)
                 if res.is_infinite:
                     continue
-                expect = brute_force_neg_group(p1xp1, alpha, sigma, 5)
+                expect = buckets.get((alpha, sigma), [])
                 assert enumerate_neg_group(p1xp1, alpha, sigma) == expect
 
 

@@ -174,3 +174,12 @@ def test_heptagon_structure_sheaf_is_fast():
     start = time.perf_counter()
     assert cohomology(model, (0,) * model.num_classes).dims == (1, 0, 0)
     assert time.perf_counter() - start < 5.0
+
+
+def test_eleven_gon_structure_sheaf_is_fast():
+    # 2^11 sigmas, most with nonzero factors, each needing a recession test
+    model = polygon_model(polygon_rays([2 * s for s in range(8)]))
+    assert model.n == 11
+    start = time.perf_counter()
+    assert cohomology(model, (0,) * model.num_classes).dims == (1, 0, 0)
+    assert time.perf_counter() - start < 5.0

@@ -93,6 +93,13 @@ class TestParse:
         with pytest.raises(ModelError, match="coordinates"):
             parse_variety(json.dumps(dict(P2_DOC, coordinates="xyz")))
 
+    def test_dimension_below_coordinate_count(self):
+        # no complete fan of dimension d >= 1 has fewer than d + 1 rays
+        doc = {"coordinates": ["x1", "x2"], "dimension": 2,
+               "charges": [[], []], "sr_ideal": [[1, 2]]}
+        with pytest.raises(ModelError, match="dimension 2 out of range 0..1"):
+            parse_variety(json.dumps(doc))
+
     def test_dimension_must_not_be_a_bool(self):
         doc = dict(P2_DOC, coordinates=["x1", "x2"], charges=[[1], [1]], dimension=True)
         with pytest.raises(ModelError, match="dimension"):
@@ -177,11 +184,6 @@ class TestCanonicalClass:
 
     def test_p1xp1(self):
         assert canonical_class(load_bundled("P1xP1")) == (-2, -2)
-
-    def test_trivial_class_group(self):
-        # d = n: no charge columns at all, canonical class is the empty vector
-        m = ToricVarietyModel(("x1",), 1, ((),), (), (0b1,))
-        assert canonical_class(m) == ()
 
 
 def test_bundled_model_names():

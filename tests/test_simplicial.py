@@ -43,6 +43,13 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(faceset(2, (0, 1)), 0b11)
 
+    def test_closedness_checked_once_per_complex(self):
+        delta = triangle_boundary()
+        restrict(delta, 0b011)
+        delta.__dict__["is_subset_closed"] = False  # the cached verdict decides
+        with pytest.raises(ValueError, match="subset-closed"):
+            restrict(delta, 0b101)
+
 
 class TestLink:
     def test_link_of_vertex_in_triangle(self):

@@ -4,7 +4,7 @@ Everything here deliberately avoids the optimized code paths it is used to
 check: dense rational boundary matrices instead of the fraction-free route,
 full powerset loops and the paper's exact-degree complexes instead of the
 lcm-lattice closure and Hochster's formula, bounding-box searches instead
-of polytope walks, a boxed program instead of the cone's.
+of polytope walks, the exact simplex instead of Fourier-Motzkin.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from toric_cohomology._bits import bits, mask_of
 from toric_cohomology.exact_linalg import DiagonalizedSystem
-from toric_cohomology.lp import OPTIMAL, simplex_maximize
+from toric_cohomology.lp import OPTIMAL, UNBOUNDED, simplex_maximize
 from toric_cohomology.model import ToricVarietyModel, sr_from_max_cones
 from toric_cohomology.simplicial import FaceSet
 
@@ -211,6 +211,25 @@ def polygon_sections(rays, a) -> int:
         for m2 in range(lo2, top - lo1 + 1)
         if all(m1 * v[0] + m2 * v[1] + ai >= 0 for v, ai in zip(rays, a))
     )
+
+
+def signed_system(model, sigma: int) -> list[list[int]]:
+    """Rows of the matrix A with column i equal to -q_i on sigma and +q_i off it."""
+    return [
+        [-model.charges[i][j] if sigma >> i & 1 else model.charges[i][j]
+         for i in range(model.n)]
+        for j in range(model.num_classes)
+    ]
+
+
+def cone_recession_test(a) -> bool:
+    """The recession test by the simplex: every nonzero w >= 0 has sum(w) > 0,
+    so the cone {A w = 0, w >= 0} is nonzero iff sum(w) is unbounded on it."""
+    n = len(a[0]) if a else 0
+    if n == 0:
+        return False
+    status, _, _ = simplex_maximize(a, [0] * len(a), [1] * n)
+    return status == UNBOUNDED
 
 
 def boxed_recession_test(a) -> bool:
