@@ -11,19 +11,14 @@ Serre duality self-checks, and the underlying simplicial / counting
 toolkits.  All arithmetic is exact.
 """
 
-from .counting import (
-    INFINITE,
-    CountResult,
-    enumerate_neg_group,
-    format_rationom,
-    neg_group_count,
-    recession_test,
-)
+from .counting import INFINITE, CountResult, format_rationom, recession_test
 from .engine import (
     CohomologyEngine,
     CohomologyResult,
     cohomology,
     engine_for,
+    enumerate_neg_group,
+    neg_group_count,
     serre_check,
 )
 from .errors import ModelError, NonFiniteCohomologyError
@@ -38,7 +33,7 @@ from .model import (
 )
 from .multiplicity import multiplicity_factors, multiplicity_table
 from .oracle import FanOracle, cohomology_via_fan, fan_complex, hochster_check, oracle_for
-from .simplicial import FaceSet, alexander_dual, link, reduced_homology, restrict
+from .simplicial import FaceSet, reduced_homology, restrict
 from .srscan import DegreeSet, scan_powerset
 
 __version__ = "0.1.0"
@@ -54,7 +49,6 @@ __all__ = [
     "ModelError",
     "NonFiniteCohomologyError",
     "ToricVarietyModel",
-    "alexander_dual",
     "bundled_model_names",
     "canonical_class",
     "cohomology",
@@ -64,7 +58,6 @@ __all__ = [
     "fan_complex",
     "format_rationom",
     "hochster_check",
-    "link",
     "load_bundled",
     "load_variety",
     "multiplicity_factors",

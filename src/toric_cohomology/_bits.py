@@ -9,14 +9,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    """Bitmask of a collection of 0-based vertex indices."""
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def mask_from_1based(indices: Iterable[int], n: int) -> int:
     m = 0
     for i in indices:

@@ -17,8 +17,8 @@ import sys
 from typing import Sequence
 
 from ._bits import bitstring, to_1based
-from .counting import enumerate_neg_group, format_rationom
-from .engine import CohomologyResult, engine_for
+from .counting import format_rationom
+from .engine import CohomologyResult, engine_for, enumerate_neg_group
 from .errors import ModelError, NonFiniteCohomologyError
 from .model import ToricVarietyModel, load_variety
 from .oracle import oracle_for

@@ -9,6 +9,11 @@ Fourier-Motzkin routine decides them: the recession test on the
 homogeneous rows (sigma only), rational emptiness of a receding fiber
 (empty, else infinite), and the walk over the lattice points of a finite one.
 
+A `NegGroupCounter` holds one model's kernel basis and its recession,
+base-point and count memos.  Its owner is the model's
+`engine.CohomologyEngine`; `engine.counter_for` and the `neg_group_count`
+/ `enumerate_neg_group` helpers reach it there.
+
 All arithmetic is exact; no floating point is used anywhere.
 """
 
@@ -218,26 +223,6 @@ class NegGroupCounter:
             tuple(x + sum(k * y for k, y in zip(row, ys)) for x, row in zip(u0, self._rows))
             for ys in points
         )
-
-
-_counters: Dict[ToricVarietyModel, NegGroupCounter] = {}
-
-
-def counter_for(model: ToricVarietyModel) -> NegGroupCounter:
-    if model not in _counters:
-        _counters[model] = NegGroupCounter(model)
-    return _counters[model]
-
-
-def neg_group_count(model: ToricVarietyModel, alpha: DivisorClass, sigma: int) -> CountResult:
-    """|(alpha, sigma)|: lattice vectors of class alpha with negative support sigma."""
-    return counter_for(model).count(alpha, sigma)
-
-
-def enumerate_neg_group(
-    model: ToricVarietyModel, alpha: DivisorClass, sigma: int
-) -> list[tuple[int, ...]]:
-    return counter_for(model).enumerate(alpha, sigma)
 
 
 def format_rationom(model: ToricVarietyModel, u: Sequence[int]) -> str:

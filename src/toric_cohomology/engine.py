@@ -7,20 +7,30 @@ fan each of them has its complement degree in the lattice too (the
 vanishing theorem: the factors of every other degree are zero), so this
 is the paper's dual-degree sum; on defective input a divergent term
 surfaces as a hard error instead of being silently dropped.
+
+Per-model state has one owner.  A `CohomologyEngine` holds the model's
+degree scan, factor table and neg-group counter, and builds its
+`FanOracle` on first use.  `engine_for` keeps one engine per model;
+`counter_for` and `oracle.oracle_for` read through it.  The oracle takes
+its counter from `counter_for`, so the fan-route check reuses the counts
+the registered engine made instead of counting every class twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 from ._bits import bitstring
-from .counting import CountResult, NegGroupCounter, counter_for
+from .counting import CountResult, NegGroupCounter
 from .errors import NonFiniteCohomologyError
 from .model import DivisorClass, ToricVarietyModel, canonical_class
 from .multiplicity import multiplicity_table
 from .srscan import DegreeSet, scan_powerset
+
+if TYPE_CHECKING:
+    from .oracle import FanOracle
 
 
 @dataclass
@@ -41,15 +51,16 @@ class CohomologyResult:
 
 
 class CohomologyEngine:
-    """Caches the alpha-independent combinatorics of one model.
+    """Owns the alpha-independent state of one model.
 
-    The degree scan and the multiplicity table are built once on first use;
-    neg-group counts are memoized inside the shared per-model counter.
+    The degree scan, the multiplicity table and the fan oracle are built
+    once on first use; neg-group counts are memoized in the engine's own
+    counter.
     """
 
     def __init__(self, model: ToricVarietyModel):
         self.model = model
-        self.counter: NegGroupCounter = counter_for(model)
+        self.counter = NegGroupCounter(model)
 
     @cached_property
     def degree_set(self) -> DegreeSet:
@@ -59,6 +70,12 @@ class CohomologyEngine:
     def table(self) -> Dict[int, Dict[int, int]]:
         """{degree: {r: beta}} over the lcm lattice, in degree order."""
         return multiplicity_table(self.degree_set)
+
+    @cached_property
+    def oracle(self) -> FanOracle:
+        from .oracle import FanOracle  # imported here: oracle.py imports this module
+
+        return FanOracle(self.model)
 
     def cohomology(self, alpha: DivisorClass) -> CohomologyResult:
         """h^0..h^d of the line bundle selected by alpha, with breakdown."""
@@ -119,6 +136,21 @@ def engine_for(model: ToricVarietyModel) -> CohomologyEngine:
     if model not in _engines:
         _engines[model] = CohomologyEngine(model)
     return _engines[model]
+
+
+def counter_for(model: ToricVarietyModel) -> NegGroupCounter:
+    return engine_for(model).counter
+
+
+def neg_group_count(model: ToricVarietyModel, alpha: DivisorClass, sigma: int) -> CountResult:
+    """|(alpha, sigma)|: lattice vectors of class alpha with negative support sigma."""
+    return counter_for(model).count(alpha, sigma)
+
+
+def enumerate_neg_group(
+    model: ToricVarietyModel, alpha: DivisorClass, sigma: int
+) -> list[tuple[int, ...]]:
+    return counter_for(model).enumerate(alpha, sigma)
 
 
 def cohomology(model: ToricVarietyModel, alpha: Sequence[int]) -> CohomologyResult:

@@ -57,19 +57,23 @@ class ToricVarietyModel:
     """Immutable description of a simplicial projective toric variety.
 
     Vertex subsets (generator supports, maximal cones) are bitmasks over the
-    coordinates, 0-based internally.
+    coordinates, 0-based internally.  `sr_generators=None` means "derive
+    them from `max_cones`"; validation derives them once.
     """
 
     coordinate_names: tuple[str, ...]
     dim: int
     charges: tuple[tuple[int, ...], ...]
-    sr_generators: tuple[int, ...]
+    sr_generators: tuple[int, ...] | None = None
     max_cones: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coordinate_names", tuple(self.coordinate_names))
         object.__setattr__(self, "charges", tuple(tuple(r) for r in self.charges))
-        object.__setattr__(self, "sr_generators", tuple(sorted(self.sr_generators)))
+        if self.sr_generators is None and self.max_cones is None:
+            raise ModelError("Stanley-Reisner generators or maximal cones are required")
+        if self.sr_generators is not None:
+            object.__setattr__(self, "sr_generators", tuple(sorted(self.sr_generators)))
         if self.max_cones is not None:
             object.__setattr__(self, "max_cones", tuple(sorted(self.max_cones)))
         self._validate()
@@ -110,41 +114,46 @@ class ToricVarietyModel:
             raise ModelError(f"charge matrix must have rank n-d = {k}")
 
         full = (1 << n) - 1
-        for g in self.sr_generators:
+        gens, cones = self.sr_generators or (), self.max_cones
+        for g in gens:
             if g == 0:
                 raise ModelError("empty Stanley-Reisner generator support")
             if g & ~full:
                 raise ModelError("Stanley-Reisner generator outside coordinate range")
-        for i, g in enumerate(self.sr_generators):
-            for h in self.sr_generators[i + 1:]:
-                if g & h == g or g & h == h:
-                    raise ModelError(
-                        "non-minimal generating set: "
-                        f"{set(to_1based(g))} vs {set(to_1based(h))}"
-                    )
-
-        if self.max_cones is not None:
-            if not self.max_cones:
-                raise ModelError("empty maximal cone list")
-            for c in self.max_cones:
-                if bin(c).count("1") != self.dim:
-                    raise ModelError(
-                        f"maximal cone {set(to_1based(c))} does not have {self.dim} vertices"
-                    )
-                if c & ~full:
-                    raise ModelError("maximal cone outside coordinate range")
-                for g in self.sr_generators:
-                    if g & c == g:
+        if cones is None:
+            for i, g in enumerate(gens):
+                for h in gens[i + 1:]:
+                    if g & h == g or g & h == h:
                         raise ModelError(
-                            f"Stanley-Reisner generator {set(to_1based(g))} "
-                            f"is a face of cone {set(to_1based(c))}"
+                            "non-minimal generating set: "
+                            f"{set(to_1based(g))} vs {set(to_1based(h))}"
                         )
-            derived = sr_from_max_cones(self.max_cones, n)
-            if tuple(sorted(derived)) != self.sr_generators:
+            return
+
+        if not cones:
+            raise ModelError("empty maximal cone list")
+        for c in cones:
+            if bin(c).count("1") != self.dim:
                 raise ModelError(
-                    "Stanley-Reisner generators inconsistent with maximal cones: "
-                    f"derived {[set(to_1based(g)) for g in derived]}"
+                    f"maximal cone {set(to_1based(c))} does not have {self.dim} vertices"
                 )
+            if c & ~full:
+                raise ModelError("maximal cone outside coordinate range")
+            for g in gens:
+                if g & c == g:
+                    raise ModelError(
+                        f"Stanley-Reisner generator {set(to_1based(g))} "
+                        f"is a face of cone {set(to_1based(c))}"
+                    )
+        # the derived set is minimal, so equality with it implies minimality
+        derived = tuple(sorted(sr_from_max_cones(cones, n)))
+        if self.sr_generators is None:
+            object.__setattr__(self, "sr_generators", derived)
+        elif derived != self.sr_generators:
+            raise ModelError(
+                "Stanley-Reisner generators inconsistent with maximal cones: "
+                f"derived {[set(to_1based(g)) for g in derived]}"
+            )
 
 
 def canonical_class(model: ToricVarietyModel) -> DivisorClass:
@@ -212,10 +221,7 @@ def parse_variety(text: str) -> ToricVarietyModel:
         return out
 
     cones = tuple(masks(max_cones_doc, "max_cones")) if max_cones_doc is not None else None
-    if sr_ideal is not None:
-        gens = tuple(masks(sr_ideal, "sr_ideal"))
-    else:
-        gens = tuple(sr_from_max_cones(cones, n))
+    gens = tuple(masks(sr_ideal, "sr_ideal")) if sr_ideal is not None else None
     return ToricVarietyModel(
         coordinate_names=names,
         dim=dim,

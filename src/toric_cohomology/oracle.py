@@ -5,6 +5,10 @@ complex over all coordinate subsets, bypassing the Stanley-Reisner lcm
 lattice entirely.  Also provides the Hochster cross-check tying the
 multiplicity factors to restriction homology, including the vanishing
 assertions for degrees outside the scanned degree set.
+
+A model's `FanOracle` is owned by its engine (`engine_for(model).oracle`)
+and counts through the engine's counter (`counter_for`), so the fan
+route and the engine share one count memo.
 """
 
 from __future__ import annotations
@@ -15,13 +19,15 @@ from functools import cached_property
 from typing import Dict, Sequence
 
 from ._bits import bitstring, complement
-from .counting import counter_for
-from .engine import engine_for
+from .engine import counter_for, engine_for
 from .errors import ModelError, NonFiniteCohomologyError
 from .model import DivisorClass, ToricVarietyModel
 from .simplicial import FaceSet, reduced_homology, restrict
 
 MAX_SCAN_VERTICES = 20
+# hochster_check's seeded sample of the degrees outside the degree set
+HOCHSTER_SAMPLE = 200
+HOCHSTER_SEED = 0
 
 
 def fan_complex(model: ToricVarietyModel) -> FaceSet:
@@ -94,12 +100,13 @@ class FanOracle:
                 dims[i] += count.value * w
         return tuple(dims)
 
-    def hochster_check(self, sample_size: int = 200, seed: int = 0) -> HochsterReport:
+    def hochster_check(self) -> HochsterReport:
         """Compare multiplicity factors with restriction homology degree by degree.
 
         For every scanned degree the factor map must match the Hochster-side
-        dims; for degrees outside the scan (all of them when 2^n is small,
-        otherwise a seeded sample) all restriction homology must vanish.
+        dims; for degrees outside the scan (all of them, or a sample of
+        HOCHSTER_SAMPLE seeded by HOCHSTER_SEED when there are more) all
+        restriction homology must vanish.
         Model validation makes the fan complex the Stanley-Reisner complex,
         so this checks the component split, class merge, crosscut and face
         listing, not an independent derivation (see tests/util.py).
@@ -122,8 +129,8 @@ class FanOracle:
                     f"!= Hochster {hochster}"
                 )
         outside = [m for m in range(1 << n) if m not in table]
-        if len(outside) > sample_size:
-            outside = random.Random(seed).sample(outside, sample_size)
+        if len(outside) > HOCHSTER_SAMPLE:
+            outside = random.Random(HOCHSTER_SEED).sample(outside, HOCHSTER_SAMPLE)
         for deg in outside:
             hom = self.restriction_homology(deg)
             report.vanishing_checked += 1
@@ -135,18 +142,13 @@ class FanOracle:
         return report
 
 
-_oracles: Dict[ToricVarietyModel, FanOracle] = {}
-
-
 def oracle_for(model: ToricVarietyModel) -> FanOracle:
-    if model not in _oracles:
-        _oracles[model] = FanOracle(model)
-    return _oracles[model]
+    return engine_for(model).oracle
 
 
 def cohomology_via_fan(model: ToricVarietyModel, alpha: Sequence[int]) -> tuple[int, ...]:
     return oracle_for(model).cohomology_via_fan(tuple(alpha))
 
 
-def hochster_check(model: ToricVarietyModel, **kw) -> HochsterReport:
-    return oracle_for(model).hochster_check(**kw)
+def hochster_check(model: ToricVarietyModel) -> HochsterReport:
+    return oracle_for(model).hochster_check()

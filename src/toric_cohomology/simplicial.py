@@ -1,8 +1,10 @@
 """Simplicial complex primitives and exact reduced homology.
 
 A :class:`FaceSet` is a finite collection of vertex subsets.  The complex
-operations (restriction, link, Alexander dual, reduced homology) require it
-to be closed under taking subsets, and raise ValueError otherwise.
+operations the package uses (restriction and reduced homology) require it
+to be closed under taking subsets, and raise ValueError otherwise.  The
+link and the Alexander dual, which only the tests use, are reference
+helpers in tests/util.py.
 
 Conventions: a face with k vertices lives in chain degree k-1; the empty
 face, when present, spans degree -1.  A FaceSet with no faces at all
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable
 
-from ._bits import bits, complement, mask_of, submasks
+from ._bits import bits, submasks
 from .exact_linalg import integer_rank
 
 
@@ -38,21 +40,12 @@ class FaceSet:
                 raise ValueError(f"face {f:b} not within the ambient vertex set")
 
     @classmethod
-    def from_vertex_sets(cls, vertex_count: int, faces: Iterable[Iterable[int]]) -> "FaceSet":
-        """Build from explicit 0-based vertex collections."""
-        return cls(vertex_count, frozenset(mask_of(f) for f in faces))
-
-    @classmethod
     def closure(cls, vertex_count: int, generators: Iterable[int]) -> "FaceSet":
         """Downward closure of generator masks, always including the empty face."""
         faces = {0}
         for g in generators:
             faces.update(submasks(g))
         return cls(vertex_count, frozenset(faces))
-
-    @classmethod
-    def full_simplex(cls, vertex_count: int) -> "FaceSet":
-        return cls(vertex_count, frozenset(range(1 << vertex_count)))
 
     @property
     def is_void(self) -> bool:
@@ -62,9 +55,6 @@ class FaceSet:
     def is_subset_closed(self) -> bool:
         """Whether every subset of a face is a face; checked once per FaceSet."""
         return all(f & ~(1 << i) in self.faces for f in self.faces for i in bits(f))
-
-    def vertex_sets(self) -> list[tuple[int, ...]]:
-        return sorted(tuple(bits(f)) for f in self.faces)
 
 
 def _require_closed(delta: FaceSet, op: str) -> None:
@@ -86,28 +76,6 @@ def restrict(delta: FaceSet, sigma: int) -> FaceSet:
     _require_closed(delta, "restrict")
     faces = frozenset(_reindex(f, sigma) for f in delta.faces if f & ~sigma == 0)
     return FaceSet(bin(sigma).count("1"), faces)
-
-
-def link(delta: FaceSet, sigma: int) -> FaceSet:
-    """The link of `sigma`: faces disjoint from sigma whose union with it is a face."""
-    _require_closed(delta, "link")
-    hat = complement(sigma, delta.vertex_count)
-    faces = frozenset(
-        _reindex(f, hat) for f in delta.faces
-        if f & sigma == 0 and (f | sigma) in delta.faces
-    )
-    return FaceSet(bin(hat).count("1"), faces)
-
-
-def alexander_dual(delta: FaceSet) -> FaceSet:
-    """The Alexander dual: subsets whose complement is not a face."""
-    _require_closed(delta, "alexander_dual")
-    n = delta.vertex_count
-    if n > 22:
-        raise ValueError("alexander_dual scans 2^n subsets; n > 22 unsupported")
-    full = (1 << n) - 1
-    faces = frozenset(m for m in range(1 << n) if (full ^ m) not in delta.faces)
-    return FaceSet(n, faces)
 
 
 def reduced_homology(delta: FaceSet) -> Dict[int, int]:

@@ -16,7 +16,6 @@ import pytest
 from toric_cohomology import (
     NonFiniteCohomologyError,
     ToricVarietyModel,
-    alexander_dual,
     hochster_check,
     load_bundled,
     reduced_homology,
@@ -26,6 +25,7 @@ from toric_cohomology.engine import CohomologyEngine
 from toric_cohomology.oracle import FanOracle
 
 from util import (
+    alexander_dual,
     all_complexes,
     contributing_degrees,
     polygon_model,

@@ -12,8 +12,8 @@ from toric_cohomology import (
     neg_group_count,
     recession_test,
 )
-from toric_cohomology._bits import mask_of
-from toric_cohomology.counting import counter_for, format_rationom
+from toric_cohomology.counting import format_rationom
+from toric_cohomology.engine import counter_for
 from toric_cohomology.model import parse_variety
 
 from util import (
@@ -21,6 +21,7 @@ from util import (
     brute_force_neg_group,
     charge_image,
     cone_recession_test,
+    mask_of,
     neg_mask,
     polygon_model,
     polygon_rays,

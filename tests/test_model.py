@@ -12,7 +12,9 @@ from toric_cohomology import (
     parse_variety,
     sr_from_max_cones,
 )
-from toric_cohomology._bits import mask_of
+from toric_cohomology import model as model_module
+
+from util import mask_of
 
 P2_DOC = {
     "coordinates": ["x1", "x2", "x3"],
@@ -118,6 +120,23 @@ class TestParse:
         doc["max_cones"] = [[1, 2], [1, 3], [2, 3]]
         m = parse_variety(json.dumps(doc))
         assert m.sr_generators == (0b111,)
+
+    def test_cones_only_document_derives_once(self, monkeypatch):
+        calls = []
+
+        def counted(cones, n):
+            calls.append(n)
+            return sr_from_max_cones(cones, n)
+
+        monkeypatch.setattr(model_module, "sr_from_max_cones", counted)
+        doc = {k: v for k, v in P1XP1_DOC.items() if k != "sr_ideal"}
+        doc["max_cones"] = [[1, 3], [1, 4], [2, 3], [2, 4]]
+        assert parse_variety(json.dumps(doc)).sr_generators == (0b0011, 0b1100)
+        assert calls == [4]
+
+    def test_model_needs_generators_or_cones(self):
+        with pytest.raises(ModelError, match="required"):
+            ToricVarietyModel(("x1", "x2", "x3"), 2, ((1,), (1,), (1,)))
 
 
 class TestSrFromMaxCones:

@@ -3,18 +3,24 @@ import random
 import pytest
 
 from toric_cohomology import (
+    CohomologyEngine,
     FanOracle,
     ModelError,
     NonFiniteCohomologyError,
     ToricVarietyModel,
     cohomology,
     cohomology_via_fan,
+    engine_for,
     fan_complex,
     hochster_check,
     load_bundled,
     oracle_for,
     sr_from_max_cones,
 )
+from toric_cohomology.engine import counter_for
+from toric_cohomology.oracle import HOCHSTER_SAMPLE
+
+from util import product_model, vertex_sets
 
 ALL_MODELS = ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3")
 
@@ -27,7 +33,7 @@ def p2():
 class TestFanComplex:
     def test_p2_is_hollow_triangle(self, p2):
         fc = fan_complex(p2)
-        assert fc.vertex_sets() == [
+        assert vertex_sets(fc) == [
             (), (0,), (0, 1), (0, 2), (1,), (1, 2), (2,),
         ]
 
@@ -107,11 +113,15 @@ class TestHochster:
         assert report.vanishing_checked == 6
 
     def test_sampling_is_deterministic(self):
-        m = load_bundled("dP3")
-        a = hochster_check(m, sample_size=10, seed=4)
-        b = hochster_check(m, sample_size=10, seed=4)
-        assert a.vanishing_checked == b.vanishing_checked == 10
-        assert a.mismatches == b.mismatches == []
+        # P1^4 has 240 degrees outside its 16-degree lattice, more than the sample
+        p1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
+        m = product_model(p1, load_bundled("P1xP1xP1"))
+        a, b = FanOracle(m), FanOracle(m)
+        ra, rb = a.hochster_check(), b.hochster_check()
+        assert ra.vanishing_checked == rb.vanishing_checked == HOCHSTER_SAMPLE
+        assert ra.mismatches == rb.mismatches == []
+        # the same degrees were sampled: both oracles computed the same restrictions
+        assert a._homology.keys() == b._homology.keys()
 
     def test_mismatch_is_reported(self, p2):
         oracle = FanOracle(p2)
@@ -120,3 +130,15 @@ class TestHochster:
         report = oracle.hochster_check()
         assert not report.ok
         assert any("111" in m for m in report.mismatches)
+
+
+class TestOwnership:
+    def test_engine_owns_the_oracle_and_the_counter(self):
+        m = load_bundled("F1")
+        engine = engine_for(m)
+        assert oracle_for(m) is engine.oracle
+        assert oracle_for(m).counter is engine.counter is counter_for(m)
+
+    def test_direct_engine_has_a_private_counter(self):
+        m = load_bundled("F1")
+        assert CohomologyEngine(m).counter is not counter_for(m)

@@ -2,20 +2,19 @@ import random
 
 import pytest
 
-from toric_cohomology import (
-    FaceSet,
+from toric_cohomology import FaceSet, reduced_homology, restrict
+from toric_cohomology._bits import complement
+
+from util import (
     alexander_dual,
+    all_complexes,
+    faceset,
+    full_simplex,
     link,
-    reduced_homology,
-    restrict,
+    mask_of,
+    projected_homology,
+    random_complex,
 )
-from toric_cohomology._bits import complement, mask_of
-
-from util import all_complexes, projected_homology, random_complex
-
-
-def faceset(n, *faces):
-    return FaceSet.from_vertex_sets(n, faces)
 
 
 def triangle_boundary():
@@ -71,7 +70,7 @@ class TestAlexanderDual:
         assert alexander_dual(pts) == pts
 
     def test_full_simplex_dual_is_void(self):
-        full = FaceSet.full_simplex(3)
+        full = full_simplex(3)
         assert alexander_dual(full).is_void
 
     def test_involution(self):

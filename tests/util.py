@@ -4,7 +4,9 @@ Everything here deliberately avoids the optimized code paths it is used to
 check: dense rational boundary matrices instead of the fraction-free route,
 full powerset loops and the paper's exact-degree complexes instead of the
 lcm-lattice closure and Hochster's formula, bounding-box searches instead
-of polytope walks, the exact simplex instead of Fourier-Motzkin.
+of polytope walks, the exact simplex instead of Fourier-Motzkin.  It also
+holds the simplicial operations only the tests use: explicit face lists,
+the link and the Alexander dual.
 """
 
 from __future__ import annotations
@@ -12,11 +14,54 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from toric_cohomology._bits import bits, mask_of
+from toric_cohomology._bits import bits, complement
 from toric_cohomology.exact_linalg import DiagonalizedSystem
 from toric_cohomology.lp import OPTIMAL, UNBOUNDED, simplex_maximize
 from toric_cohomology.model import ToricVarietyModel, sr_from_max_cones
-from toric_cohomology.simplicial import FaceSet
+from toric_cohomology.simplicial import FaceSet, _reindex, _require_closed
+
+
+def mask_of(indices) -> int:
+    """Bitmask of a collection of 0-based vertex indices."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def faceset(vertex_count: int, *faces) -> FaceSet:
+    """A FaceSet from explicit 0-based vertex collections."""
+    return FaceSet(vertex_count, frozenset(mask_of(f) for f in faces))
+
+
+def full_simplex(vertex_count: int) -> FaceSet:
+    return FaceSet(vertex_count, frozenset(range(1 << vertex_count)))
+
+
+def vertex_sets(delta: FaceSet) -> list[tuple[int, ...]]:
+    return sorted(tuple(bits(f)) for f in delta.faces)
+
+
+def link(delta: FaceSet, sigma: int) -> FaceSet:
+    """The link of `sigma`: faces disjoint from sigma whose union with it is a face."""
+    _require_closed(delta, "link")
+    hat = complement(sigma, delta.vertex_count)
+    faces = frozenset(
+        _reindex(f, hat) for f in delta.faces
+        if f & sigma == 0 and (f | sigma) in delta.faces
+    )
+    return FaceSet(bin(hat).count("1"), faces)
+
+
+def alexander_dual(delta: FaceSet) -> FaceSet:
+    """The Alexander dual: subsets whose complement is not a face."""
+    _require_closed(delta, "alexander_dual")
+    n = delta.vertex_count
+    if n > 22:
+        raise ValueError("alexander_dual scans 2^n subsets; n > 22 unsupported")
+    full = (1 << n) - 1
+    faces = frozenset(m for m in range(1 << n) if (full ^ m) not in delta.faces)
+    return FaceSet(n, faces)
 
 
 def fraction_rank(rows) -> int:
