@@ -7,7 +7,12 @@ fiber.  Otherwise u = u0 + K y over an integer kernel basis K of the charge
 map, and the signs of u become rows `coeffs . y <= rhs` over y in Z^d.  One
 Fourier-Motzkin routine decides them: the recession test on the
 homogeneous rows (sigma only), rational emptiness of a receding fiber
-(empty, else infinite), and the walk over the lattice points of a finite one.
+(empty, else infinite), and the lattice points of a finite one.  A count
+walks a finite fiber over all but its last two kernel coordinates and sums
+those two in closed form: per value of the second-to-last, the integer
+range of the last is floor(min of upper lines) - ceil(max of lower lines)
++ 1, summed piecewise with a floor sum.  `enumerate` (and through it
+`--breakdown`) walks every point instead, and is the count's reference.
 
 A `NegGroupCounter` holds one model's kernel basis and its recession,
 base-point and count memos.  Its owner is the model's
@@ -131,8 +136,16 @@ def _rationally_empty(rows, nvars) -> bool:
     return any(rhs < 0 for _, rhs in rows)
 
 
+def _levels(rows, nvars):
+    """The Fourier-Motzkin levels of a non-receding system: levels[k] holds the rows over y_0..y_k."""
+    levels = [rows]
+    for var in range(nvars - 1, 0, -1):
+        levels.append(_fm_eliminate(levels[-1], var))
+    return levels[::-1]
+
+
 def _walk(levels, prefix) -> Iterator[tuple[int, ...]]:
-    """The lattice points extending `prefix`; levels[k] holds the rows over y_0..y_k."""
+    """The lattice points extending `prefix`."""
     rng = _first_var_range(levels[len(prefix)], prefix)
     if rng is None:
         return
@@ -150,10 +163,96 @@ def _lattice_points(rows, nvars) -> Iterator[tuple[int, ...]]:
         if all(rhs >= 0 for _, rhs in rows):
             yield ()
         return
-    levels = [rows]
-    for var in range(nvars - 1, 0, -1):
-        levels.append(_fm_eliminate(levels[-1], var))
-    yield from _walk(levels[::-1], ())
+    yield from _walk(_levels(rows, nvars), ())
+
+
+def _floor_sum(n, m, a, b) -> int:
+    """sum_{x=0}^{n-1} floor((a x + b) / m) for m > 0, in O(log m) steps.
+
+    The Euclid-like reduction of Graham-Knuth-Patashnik, *Concrete
+    Mathematics* 3.5: take the integer parts of a/m and b/m out, then count
+    the same lattice points under the line with the axes swapped.
+    """
+    total = 0
+    while n:
+        q, a = divmod(a, m)
+        r, b = divmod(b, m)
+        total += q * (n * (n - 1) // 2) + r * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+def _sum_floor_min(lines, lo, hi) -> int:
+    """sum_{v=lo}^{hi} floor(min over lines (p, c, m) of (p v + c) / m), every m > 0.
+
+    The range is cut after the floor of every crossing of two lines, so no
+    two lines cross strictly inside a piece, and the line lowest at a
+    piece's midpoint is lowest on the whole piece.
+    """
+    cuts = {lo - 1, hi}
+    for i, (p1, c1, m1) in enumerate(lines):
+        for p2, c2, m2 in lines[i + 1:]:
+            den = p1 * m2 - p2 * m1
+            if den:
+                x = (c2 * m1 - c1 * m2) // den
+                if lo <= x < hi:
+                    cuts.add(x)
+    ends = sorted(cuts)
+    total = 0
+    for s, t in zip(ends, ends[1:]):
+        s += 1
+        mid = s + t  # twice the midpoint
+        p, c, m = lines[0]
+        for line in lines[1:]:
+            if (line[0] * mid + 2 * line[1]) * m < (p * mid + 2 * c) * line[2]:
+                p, c, m = line
+        total += _floor_sum(t - s + 1, m, p, p * s + c)
+    return total
+
+
+def _count_last_two(rows, prefix, lo, hi) -> int:
+    """The number of lattice points of the last level's rows over (prefix, v, w), lo <= v <= hi.
+
+    With the prefix substituted, a row reads a v + b w <= c.  It bounds w
+    above by (c - a v) / b if b > 0, and below by -(c - a v) / |b| if
+    b < 0; a row with b = 0 is already in [lo, hi].  Over each v the count
+    is floor(min upper) - ceil(max lower) + 1, which is floor(min upper) +
+    floor(min of (c - a v) / |b| over the lower rows) + 1.  The previous
+    level is the exact rational projection, so no term is negative.
+    """
+    k = len(prefix)
+    upper, lower = [], []
+    for co, rhs in rows:
+        a, b = co[k], co[k + 1]
+        c = rhs - sum(x * y for x, y in zip(co, prefix))
+        if b:
+            (upper if b > 0 else lower).append((-a, c, abs(b)))
+    return _sum_floor_min(upper, lo, hi) + _sum_floor_min(lower, lo, hi) + hi - lo + 1
+
+
+def _count(levels, prefix) -> int:
+    """The number of lattice points extending `prefix`, walked to depth d-2, the rest summed."""
+    k = len(prefix)
+    rng = _first_var_range(levels[k], prefix)
+    if rng is None:
+        return 0
+    lo, hi = rng
+    if k + 1 == len(levels):
+        return hi - lo + 1
+    if k + 2 == len(levels):
+        return _count_last_two(levels[k + 1], prefix, lo, hi)
+    return sum(_count(levels, prefix + (v,)) for v in range(lo, hi + 1))
+
+
+def _lattice_count(rows, nvars) -> int:
+    """The number of integer points of {y : coeffs . y <= rhs}; `_recedes` must be false."""
+    if nvars == 0:
+        return int(all(rhs >= 0 for _, rhs in rows))
+    return _count(_levels(rows, nvars), ())
 
 
 class NegGroupCounter:
@@ -196,32 +295,36 @@ class NegGroupCounter:
             for i in range(self.model.n)
         ]
 
-    def _points(self, alpha: DivisorClass, sigma: int):
-        """The kernel coordinates y of the neg-group's vectors, or None if it is infinite."""
+    def _fiber(self, alpha: DivisorClass, sigma: int):
+        """The neg-group's sign rows over y: None if it is infinite, [] if it is empty."""
         u0 = self._base_point(alpha)
         if u0 is None:  # alpha is not in the charge lattice: no vectors at all
-            return iter(())
+            return []
         rows = self._inequalities(u0, sigma)
         if self.recession(sigma):
-            return iter(()) if _rationally_empty(rows, self._d) else None
-        return _lattice_points(rows, self._d)
+            return [] if _rationally_empty(rows, self._d) else None
+        return rows
 
     def count(self, alpha: DivisorClass, sigma: int) -> CountResult:
         key = (tuple(alpha), sigma)
         if key not in self._counts:
-            ys = self._points(alpha, sigma)
-            self._counts[key] = INFINITE if ys is None else CountResult(sum(1 for _ in ys))
+            rows = self._fiber(alpha, sigma)
+            self._counts[key] = (
+                INFINITE if rows is None else CountResult(_lattice_count(rows, self._d) if rows else 0)
+            )
         return self._counts[key]
 
     def enumerate(self, alpha: DivisorClass, sigma: int):
         """The explicit exponent vectors of a finite neg-group, lexicographic."""
-        points = self._points(alpha, sigma)
-        if points is None:
+        rows = self._fiber(alpha, sigma)
+        if rows is None:
             raise ValueError("cannot enumerate an infinite neg-group")
+        if not rows:
+            return []
         u0 = self._base_point(alpha)
         return sorted(
             tuple(x + sum(k * y for k, y in zip(row, ys)) for x, row in zip(u0, self._rows))
-            for ys in points
+            for ys in _lattice_points(rows, self._d)
         )
 
 

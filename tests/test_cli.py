@@ -306,6 +306,23 @@ def test_check_failure_exit_code(p2_path, monkeypatch):
     assert "[oracle FAIL]" in out
 
 
+@pytest.mark.parametrize("model, spec, line", [
+    ("P2", "100000", "(100000): 5000150001 0 0"),
+    ("P2", "-100003", "(-100003): 0 0 5000150001"),  # the Serre dual
+    ("P1xP1xP1", "1000,1000,1000", "(1000,1000,1000): 1003003001 0 0 0"),
+], ids=["P2", "P2-dual", "P1xP1xP1"])
+def test_large_class_answers_in_seconds(model, spec, line, tmp_path):
+    # a neg-group of 10^9 points is summed, not visited; the timeout makes
+    # a regression fail instead of hang
+    src = Path(toric_cohomology.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_cohomology", f"{DATA}/{model}.json", f"--class={spec}"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, line + "\n"), proc.stderr
+
+
 def test_console_script_installed(p2_path, tmp_path):
     """The console script declared in pyproject.toml resolves and runs.
 

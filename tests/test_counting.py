@@ -12,7 +12,13 @@ from toric_cohomology import (
     neg_group_count,
     recession_test,
 )
-from toric_cohomology.counting import format_rationom
+from toric_cohomology.counting import (
+    _floor_sum,
+    _lattice_count,
+    _lattice_points,
+    _recedes,
+    format_rationom,
+)
 from toric_cohomology.engine import counter_for
 from toric_cohomology.model import parse_variety
 
@@ -184,6 +190,66 @@ class TestAgainstBruteForce:
                     continue
                 expect = buckets.get((alpha, sigma), [])
                 assert enumerate_neg_group(p1xp1, alpha, sigma) == expect
+
+
+def box_rows(bounds):
+    """Rows lo_i <= y_i <= hi_i."""
+    rows = []
+    for i, (lo, hi) in enumerate(bounds):
+        unit = tuple(int(j == i) for j in range(len(bounds)))
+        rows += [(unit, hi), (tuple(-x for x in unit), -lo)]
+    return rows
+
+
+class TestClosedFormCount:
+    """The count sums the last two coordinates in closed form; the walk is the reference."""
+
+    def test_floor_sum(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            n, m = rng.randint(0, 25), rng.randint(1, 12)
+            a, b = rng.randint(-30, 30), rng.randint(-50, 50)
+            assert _floor_sum(n, m, a, b) == sum((a * x + b) // m for x in range(n))
+        assert _floor_sum(10**5, 7, 3, -5) == sum((3 * x - 5) // 7 for x in range(10**5))
+
+    @pytest.mark.parametrize("rows, expect", [
+        # w <= v and w <= 4 - v cross at the integer v = 2; 0 <= w
+        ([((-1, 1), 0), ((1, 1), 4), ((0, -1), 0)], 9),
+        # 3w <= 2v and 2w <= 8 - v cross at v = 24/7; 0 <= w
+        ([((-2, 3), 0), ((1, 2), 8), ((0, -1), 0)], 16),
+        # parallel upper rows v + 2w <= 6 and v + 2w <= 7 in the box [0, 6]^2
+        (box_rows([(0, 6), (0, 6)]) + [((1, 2), 6), ((1, 2), 7)], 16),
+        # two lower lines crossing at v = 12/5: w >= 5 - 2v, w >= v/2 - 1
+        (box_rows([(0, 6), (0, 6)]) + [((-2, -1), -5), ((1, -2), 2)], 34),
+        # a one-point range: v = 3
+        (box_rows([(3, 3), (-2, 5)]), 8),
+        # v/3 <= w <= (v + 1)/3: empty at v = 1 and v = 4
+        ([((-1, 3), 1), ((1, -3), 0), ((1, 0), 5), ((-1, 0), 0)], 4),
+        # 2v = 1 has a rational point and no integer one
+        ([((2, 0), 1), ((-2, 0), -1), ((0, 1), 3), ((0, -1), 0)], 0),
+        # an empty polygon
+        (box_rows([(0, 4), (0, 4)]) + [((1, 1), -1)], 0),
+    ])
+    def test_two_variable_cases(self, rows, expect):
+        assert not _recedes(rows, 2)
+        assert len(list(_lattice_points(rows, 2))) == expect
+        assert _lattice_count(rows, 2) == expect
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_random_bounded_systems(self, nvars):
+        rng = random.Random(17 + nvars)
+        for _ in range(400):
+            bounds = []
+            for _ in range(nvars):
+                lo = rng.randint(-6, 6)
+                bounds.append((lo, lo + rng.randint(-1, 9)))  # hi = lo - 1 is empty
+            rows = box_rows(bounds)
+            for _ in range(rng.randint(0, 5)):
+                co = tuple(rng.randint(-4, 4) for _ in range(nvars))
+                rows.append((co, rng.randint(-12, 20)))
+                if rng.random() < 0.3:  # a parallel row
+                    rows.append((co, rng.randint(-12, 20)))
+            assert _lattice_count(rows, nvars) == len(list(_lattice_points(rows, nvars))), rows
 
 
 def test_disjoint_union_classification(p2):

@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from toric_cohomology import multiplicity_factors, scan_powerset
+from toric_cohomology import ToricVarietyModel, load_bundled, multiplicity_factors, scan_powerset
 from toric_cohomology.cli import build_parser, run
 from toric_cohomology.engine import CohomologyEngine
 from toric_cohomology.oracle import FanOracle
@@ -24,6 +24,7 @@ from util import (
     polygon_model,
     polygon_rays,
     polygon_sections,
+    product_model,
 )
 
 
@@ -61,6 +62,29 @@ def test_polygon_fans(gaps, divisors):
         assert dims == oracle.cohomology_via_fan(alpha)
         assert engine.serre_check(alpha)[0]
         assert dims[0] == polygon_sections(rays, a)
+
+
+P1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    gaps=st.lists(st.integers(0, 6), max_size=3),
+    factor=st.sampled_from([None, "P1", "F1"]),
+    a=st.lists(st.integers(-3, 4), min_size=10, max_size=10),
+)
+def test_count_matches_enumeration(gaps, factor, a):
+    # d = 2 on a polygon fan: the closed form alone; d = 3 and 4 on its
+    # product with P1 or F1: the walk over the first coordinates too
+    model = polygon_model(polygon_rays(gaps))
+    if factor is not None:
+        model = product_model(model, P1 if factor == "P1" else load_bundled("F1"))
+    engine = CohomologyEngine(model)
+    alpha = charge_image(model, a[:model.n])
+    for sigma in engine.table:
+        count = engine.counter.count(alpha, sigma)
+        if not count.is_infinite:
+            assert count.value == len(engine.counter.enumerate(alpha, sigma)), (alpha, sigma)
 
 
 json_values = st.recursive(
