@@ -4,7 +4,8 @@ Reads a variety file, computes cohomology vectors for one or many divisor
 classes, and emits table, CSV, or JSON reports.  Optional flags rerun each
 class through the fan-route oracle and the Serre duality self-test.
 
-Exit codes: 0 success, 1 input/parse errors (usage errors included),
+Exit codes: 0 success, 1 input/parse errors (usage errors included) or
+stdout closed early (a broken pipe, which writes nothing to stderr),
 2 non-finite cohomology, 3 a requested check failed.
 """
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -93,10 +96,7 @@ def parse_box_spec(spec: str, k: int) -> list[tuple[int, ...]]:
         ranges.append(range(lo_i, hi_i + 1))
     if len(ranges) != k:
         raise ModelError(f"box has {len(ranges)} ranges, expected {k}")
-    alphas = [()]
-    for rng in ranges:
-        alphas = [a + (v,) for a in alphas for v in rng]
-    return alphas
+    return list(itertools.product(*ranges))
 
 
 def result_to_json(model: ToricVarietyModel, result: CohomologyResult) -> dict:
@@ -134,55 +134,41 @@ def _print_breakdown(model: ToricVarietyModel, result: CohomologyResult, out) ->
             print(f"      rationoms: {monos}", file=out)
 
 
+def _choose_classes(args, k: int) -> list[tuple[int, ...]]:
+    """The requested classes in lexicographic order, each once."""
+    if args.box is not None and args.classes is not None:
+        raise ModelError("give either --class or --box, not both")
+    if args.box is not None:
+        return parse_box_spec(args.box, k)
+    if args.classes is not None:
+        return sorted({parse_class_spec(s, k) for s in args.classes})
+    raise ModelError("no divisor classes requested (use --class or --box)")
+
+
 def run(args, out=sys.stdout, err=sys.stderr) -> int:
     try:
         model = load_variety(args.input)
+        alphas = _choose_classes(args, model.num_classes)
+        engine = engine_for(model)
+        rows = []
+        for alpha in alphas:
+            result = engine.cohomology(alpha)
+            checks = []
+            if args.oracle_check:
+                fan = oracle_for(model).cohomology_via_fan(alpha)
+                checks.append(("oracle", fan == result.dims))
+            if args.serre_check:
+                checks.append(("serre", engine.serre_check(alpha)[0]))
+            rows.append((result, checks))
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=err)
         return 1
     except ModelError as exc:
         print(f"error: {exc}", file=err)
         return 1
-
-    k = model.num_classes
-    try:
-        if args.box and args.classes:
-            raise ModelError("give either --class or --box, not both")
-        if args.box:
-            alphas = parse_box_spec(args.box, k)
-        elif args.classes:
-            alphas = [parse_class_spec(s, k) for s in args.classes]
-        else:
-            raise ModelError("no divisor classes requested (use --class or --box)")
-    except ModelError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-
-    alphas = sorted(set(alphas))
-    engine = engine_for(model)
-    need_oracle = args.oracle_check
-    checks_failed = False
-    rows = []
-    try:
-        for alpha in alphas:
-            result = engine.cohomology(alpha)
-            checks = []
-            if need_oracle:
-                fan = oracle_for(model).cohomology_via_fan(alpha)
-                ok = fan == result.dims
-                checks.append(("oracle", ok))
-                checks_failed |= not ok
-            if args.serre_check:
-                ok, _ = engine.serre_check(alpha)
-                checks.append(("serre", ok))
-                checks_failed |= not ok
-            rows.append((result, checks))
     except NonFiniteCohomologyError as exc:
         print(f"error: {exc}", file=err)
         return 2
-    except ModelError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
 
     if args.format == "json":
         payload = [result_to_json(model, r) for r, _ in rows]
@@ -191,7 +177,8 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
     elif args.format == "csv":
         writer = csv.writer(out)
         writer.writerow(
-            [f"a{j + 1}" for j in range(k)] + [f"h{i}" for i in range(model.dim + 1)]
+            [f"a{j + 1}" for j in range(model.num_classes)]
+            + [f"h{i}" for i in range(model.dim + 1)]
         )
         for result, _ in rows:
             writer.writerow(list(result.alpha) + list(result.dims))
@@ -205,7 +192,7 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
             if args.breakdown:
                 _print_breakdown(model, result, out)
 
-    return 3 if checks_failed else 0
+    return 3 if any(not ok for _, checks in rows for _, ok in checks) else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -214,7 +201,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`); the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

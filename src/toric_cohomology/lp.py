@@ -1,8 +1,9 @@
-"""A small exact-rational simplex solver.
+"""A small exact-rational simplex solver, the tests' reference (`tests/util.py`).
 
-Only intended for the tiny feasibility problems arising in the recession
-test (a handful of variables and constraints); all pivoting is done over
-`fractions.Fraction`, so results are exact.  Bland's rule prevents cycling.
+Recession is decided by Fourier-Motzkin in `counting`; this module stays in
+the package only because `bench/worker.py` imports `lp` and `bench/spans.py`
+wraps `counting.simplex_maximize`.  Pivoting is over `fractions.Fraction`,
+so results are exact; Bland's rule prevents cycling.
 """
 
 from __future__ import annotations

@@ -130,8 +130,6 @@ class ToricVarietyModel:
                         )
             return
 
-        if not cones:
-            raise ModelError("empty maximal cone list")
         for c in cones:
             if bin(c).count("1") != self.dim:
                 raise ModelError(
@@ -208,6 +206,7 @@ def parse_variety(text: str) -> ToricVarietyModel:
     if sr_ideal is None and max_cones_doc is None:
         raise ModelError("at least one of sr_ideal / max_cones is required")
     n = len(names)
+    # the model checks this bound too, but the masks below cost O(n) each
     if n > MAX_VERTICES:
         raise ModelError(f"at most {MAX_VERTICES} coordinates supported, got {n}")
 

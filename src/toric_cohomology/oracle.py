@@ -52,8 +52,7 @@ class FanOracle:
     """Fan-route computations for one model, with cached restriction homology."""
 
     def __init__(self, model: ToricVarietyModel):
-        if model.max_cones is None:
-            raise ModelError("fan data (max_cones) absent")
+        # the bound comes first: the closure below has up to 2^n faces
         if model.n > MAX_SCAN_VERTICES:
             raise ModelError(
                 f"fan-route scan needs 2^n subsets; n={model.n} exceeds {MAX_SCAN_VERTICES}"

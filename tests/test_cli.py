@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
@@ -160,19 +161,27 @@ class TestErrorPaths:
         assert code == 1 and "exceeds" in err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["P2.json", "--class", "1", "--bogus"], "unrecognized arguments: --bogus"),
-    (["P2.json", "--class", "1", "--unfiltered-debug"], "unrecognized arguments"),
-    ([], "required: input"),
-    (["P2.json", "--class", "1", "--format", "xml"], "invalid choice: 'xml'"),
-], ids=["unknown-flag", "removed-flag", "no-input", "bad-format"])
-def test_usage_error_exits_1(argv, message, capsys):
-    # argparse's own code 2 is the documented code for non-finite cohomology
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    out, err = capsys.readouterr()
-    assert exc.value.code == 1 and out == ""
-    assert err.startswith("usage: toric-cohomology") and message in err
+USAGE = "usage: toric-cohomology"
+
+
+@pytest.mark.parametrize("argv, head, message", [
+    (["P2.json", "--class", "1", "--bogus"], USAGE, "unrecognized arguments: --bogus"),
+    (["P2.json", "--class", "1", "--unfiltered-debug"], USAGE, "unrecognized arguments"),
+    ([], USAGE, "required: input"),
+    (["P2.json", "--class", "1", "--format", "xml"], USAGE, "invalid choice: 'xml'"),
+    # an empty --box is a box, not an absent one
+    ([f"{DATA}/P2.json", "--box="], "error: ", "bad box range ''"),
+    ([f"{DATA}/P2.json", "--box=", "--class=1"], "error: ", "not both"),
+], ids=["unknown-flag", "removed-flag", "no-input", "bad-format", "empty-box",
+        "empty-box-and-class"])
+def test_usage_error_exits_1(argv, head, message):
+    # argparse's own code 2 is the documented code for non-finite cohomology;
+    # sys.exit(run(...)) is what the console script runs
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stdout(out), redirect_stderr(err):
+        sys.exit(run(build_parser().parse_args(argv), out=out, err=err))
+    assert exc.value.code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith(head) and message in err.getvalue()
 
 
 def test_help_exits_0(capsys):
@@ -321,6 +330,25 @@ def test_large_class_answers_in_seconds(model, spec, line, tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert (proc.returncode, proc.stdout) == (0, line + "\n"), proc.stderr
+
+
+def test_broken_pipe_exits_1_quietly(tmp_path):
+    # the reader stops after two rows, as `| head -n 2` does, long before
+    # the 20,001 rows are written
+    src = Path(toric_cohomology.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toric_cohomology", f"{DATA}/P2.json", "--box=0..20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    try:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert lines == [b"(0): 1 0 0\n", b"(1): 3 0 0\n"]
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_console_script_installed(p2_path, tmp_path):
