@@ -145,7 +145,9 @@ def _choose_classes(args, k: int) -> list[tuple[int, ...]]:
     raise ModelError("no divisor classes requested (use --class or --box)")
 
 
-def run(args, out=sys.stdout, err=sys.stderr) -> int:
+def run(args, out=None, err=None) -> int:
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     try:
         model = load_variety(args.input)
         alphas = _choose_classes(args, model.num_classes)

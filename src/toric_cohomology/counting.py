@@ -260,7 +260,7 @@ class NegGroupCounter:
 
     def __init__(self, model: ToricVarietyModel):
         self.model = model
-        # charge map as an (n-d) x n matrix, diagonalized once
+        # charge map as an (n-d) x n matrix, column-reduced once
         fmat = tuple(
             tuple(model.charges[i][j] for i in range(model.n))
             for j in range(model.num_classes)

@@ -12,8 +12,9 @@ Per-model state has one owner.  A `CohomologyEngine` holds the model's
 degree scan, factor table and neg-group counter, and builds its
 `FanOracle` on first use.  `engine_for` keeps one engine per model;
 `counter_for` and `oracle.oracle_for` read through it.  The oracle takes
-its counter from `counter_for`, so the fan-route check reuses the counts
-the registered engine made instead of counting every class twice.
+its counter and factor table from the engine that built it, so the
+fan-route check reuses that engine's counts instead of counting every
+class twice.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class CohomologyEngine:
     def oracle(self) -> FanOracle:
         from .oracle import FanOracle  # imported here: oracle.py imports this module
 
-        return FanOracle(self.model)
+        return FanOracle(self)
 
     def cohomology(self, alpha: DivisorClass) -> CohomologyResult:
         """h^0..h^d of the line bundle selected by alpha, with breakdown."""

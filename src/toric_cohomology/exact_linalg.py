@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: fraction-free ranks, diagonalization, lattice solving.
+"""Exact integer linear algebra: fraction-free ranks, column reduction, lattice solving.
 
 Everything operates on plain Python ints (arbitrary precision), so there is
 no overflow and no floating point anywhere.
@@ -40,125 +40,70 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _identity(k: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def integer_diagonalize(a: Sequence[Sequence[int]]):
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Returns (D, U, V) with U*A*V = D, D diagonal (zero diagonal entries,
-    if any, trailing), U and V unimodular.  No divisibility chain is
-    enforced on the diagonal; a diagonal form is all that integer solving
-    and kernel extraction need.
-    """
-    d = [list(r) for r in a]
-    nr = len(d)
-    nc = len(d[0]) if d else 0
-    u = _identity(nr)
-    v = _identity(nc)
-    t = 0
-    while t < min(nr, nc):
-        # locate a nonzero entry of minimal absolute value in the submatrix
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                e = d[i][j]
-                if e and (best is None or abs(e) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            d[t], d[bi] = d[bi], d[t]
-            u[t], u[bi] = u[bi], u[t]
-        if bj != t:
-            for row in d:
-                row[t], row[bj] = row[bj], row[t]
-            for row in v:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            # clear column t with row operations
-            dirty = False
-            for i in range(t + 1, nr):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    if q:
-                        for j in range(nc):
-                            d[i][j] -= q * d[t][j]
-                        for j in range(nr):
-                            u[i][j] -= q * u[t][j]
-                    if d[i][t]:  # remainder became the new smallest pivot
-                        d[t], d[i] = d[i], d[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-            # clear row t with column operations
-            for j in range(t + 1, nc):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    if q:
-                        for row in d:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if d[t][j]:
-                        for row in d:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty and all(d[i][t] == 0 for i in range(t + 1, nr)) \
-                    and all(d[t][j] == 0 for j in range(t + 1, nc)):
-                break
-        if d[t][t] < 0:
-            for j in range(nc):
-                d[t][j] = -d[t][j]
-            for j in range(nr):
-                u[t][j] = -u[t][j]
-        t += 1
-    return d, u, v
-
-
-def _mat_vec(m: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
-    return [sum(mi * xi for mi, xi in zip(row, x)) for row in m]
+def _swap_columns(m: list[list[int]], j: int, k: int) -> None:
+    for row in m:
+        row[j], row[k] = row[k], row[j]
 
 
 @dataclass
 class DiagonalizedSystem:
-    """A diagonalized integer matrix, reusable for many right-hand sides.
+    """An integer matrix A reduced once, reusable for many right-hand sides.
 
     Solves A x = b over the integers and exposes a lattice basis of ker A.
+    Unimodular column operations bring A to column echelon form A V = L:
+    row i either has its pivot in column r, the number of pivots above it,
+    with zeros right of it, or is zero from column r on.  The name is
+    historical, as nothing is diagonalized; it stays because
+    `bench/spans.py` imports the class and wraps `.solve`, and
+    `tests/util.py` builds it.
     """
 
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        a = [list(r) for r in self.matrix]
-        self.nrows = len(a)
-        self.ncols = len(a[0]) if a else 0
-        self.d, self.u, self.v = integer_diagonalize(a)
+        self.nrows = len(self.matrix)
+        self.ncols = len(self.matrix[0]) if self.matrix else 0
+        # [A; I] under one sequence of column operations becomes [L; V]
+        m = [list(r) for r in self.matrix]
+        m += [[int(i == j) for j in range(self.ncols)] for i in range(self.ncols)]
+        self.pivots: list[int | None] = []  # each row's pivot column
+        r = 0
+        for row in m[: self.nrows]:
+            live = [j for j in range(r, self.ncols) if row[j]]
+            if not live:
+                self.pivots.append(None)
+                continue
+            _swap_columns(m, r, min(live, key=lambda j: abs(row[j])))
+            while any(row[r + 1:]):  # Euclid: a nonzero remainder becomes the pivot
+                for j in range(r + 1, self.ncols):
+                    if row[j]:
+                        q = row[j] // row[r]
+                        for x in m:
+                            x[j] -= q * x[r]
+                        if row[j]:
+                            _swap_columns(m, r, j)
+            self.pivots.append(r)
+            r += 1
+        self.rank = r
+        self.echelon, self.v = m[: self.nrows], m[self.nrows:]
 
     def solve(self, b: Sequence[int]) -> list[int] | None:
         """One integer solution of A x = b, or None when none exists."""
         if len(b) != self.nrows:
             raise ValueError("right-hand side has wrong length")
-        c = _mat_vec(self.u, b)
+        # forward substitution on L z = b; z is zero past the rank, x = V z
         z = [0] * self.ncols
-        for i in range(self.nrows):
-            dii = self.d[i][i] if i < self.ncols else 0
-            if dii:
-                if c[i] % dii:
+        for row, bi, p in zip(self.echelon, b, self.pivots):
+            residual = bi - sum(c * zj for c, zj in zip(row, z))
+            if p is None:
+                if residual:
                     return None
-                z[i] = c[i] // dii
-            elif c[i]:
+            elif residual % row[p]:
                 return None
-        return _mat_vec(self.v, z)
+            else:
+                z[p] = residual // row[p]
+        return [sum(vi * zi for vi, zi in zip(row, z)) for row in self.v]
 
     def kernel_basis(self) -> list[list[int]]:
         """Lattice basis of the integer kernel of A (columns of V past the rank)."""
-        basis = []
-        for j in range(self.ncols):
-            djj = self.d[j][j] if j < self.nrows else 0
-            if djj == 0:
-                basis.append([self.v[i][j] for i in range(self.ncols)])
-        return basis
+        return [[row[j] for row in self.v] for j in range(self.rank, self.ncols)]

@@ -6,9 +6,9 @@ lattice entirely.  Also provides the Hochster cross-check tying the
 multiplicity factors to restriction homology, including the vanishing
 assertions for degrees outside the scanned degree set.
 
-A model's `FanOracle` is owned by its engine (`engine_for(model).oracle`)
-and counts through the engine's counter (`counter_for`), so the fan
-route and the engine share one count memo.
+A `FanOracle` is built on one engine (`CohomologyEngine.oracle`) and
+counts through that engine's counter and reads its factor table, so the
+fan route and the engine share one count memo and one factor table.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from functools import cached_property
 from typing import Dict, Sequence
 
 from ._bits import bitstring, complement
-from .engine import counter_for, engine_for
+from .engine import CohomologyEngine, engine_for
+from .engine import counter_for  # noqa: F401  no caller here; bench/spans.py wraps this name
 from .errors import ModelError, NonFiniteCohomologyError
 from .model import DivisorClass, ToricVarietyModel
 from .simplicial import FaceSet, reduced_homology, restrict
@@ -51,15 +52,19 @@ class HochsterReport:
 class FanOracle:
     """Fan-route computations for one model, with cached restriction homology."""
 
-    def __init__(self, model: ToricVarietyModel):
+    def __init__(self, engine: CohomologyEngine | ToricVarietyModel):
+        if isinstance(engine, ToricVarietyModel):  # bench/make_refs.py passes a bare model
+            engine = CohomologyEngine(engine)
+        model = engine.model
         # the bound comes first: the closure below has up to 2^n faces
         if model.n > MAX_SCAN_VERTICES:
             raise ModelError(
                 f"fan-route scan needs 2^n subsets; n={model.n} exceeds {MAX_SCAN_VERTICES}"
             )
+        self.engine = engine
         self.model = model
         self.complex = fan_complex(model)
-        self.counter = counter_for(model)
+        self.counter = engine.counter
         self._homology: Dict[int, Dict[int, int]] = {}
 
     def restriction_homology(self, sigma: int) -> Dict[int, int]:
@@ -111,7 +116,7 @@ class FanOracle:
         listing, not an independent derivation (see tests/util.py).
         """
         n = self.model.n
-        table = engine_for(self.model).table
+        table = self.engine.table
         report = HochsterReport()
         for deg, factors in table.items():
             size = bin(deg).count("1")

@@ -116,7 +116,7 @@ def test_criterion_3_two_routes_agree_on_all_models(capsys):
         assert len(alphas) >= 100
         model = load_bundled(name)
         engine = CohomologyEngine(model)
-        oracle = FanOracle(model)
+        oracle = FanOracle(CohomologyEngine(model))
         for alpha in alphas:
             ok &= engine.cohomology(alpha).dims == oracle.cohomology_via_fan(alpha)
             checked += 1
@@ -198,7 +198,7 @@ def test_criterion_7_structure_sheaf(capsys):
 def test_criterion_8_incomplete_fan_is_not_silently_wrong(capsys):
     model = truncated_p2()
     engine = CohomologyEngine(model)
-    oracle = FanOracle(model)
+    oracle = FanOracle(CohomologyEngine(model))
     ok = True
     for alpha in ((-3,), (-1,), (0,), (2,)):
         try:

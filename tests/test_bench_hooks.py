@@ -54,6 +54,8 @@ def test_bench_hooks_find_their_names():
     report = json.loads(proc.stdout)
     assert report["missing"] == []
     assert report["code"] == 0, report["err"]
-    # the engine reaches the scan and the table through the wrapped names
+    # the engine reaches the scan, the table and the base point's solve
+    # through the wrapped names
     assert {"srscan.scan_powerset", "multiplicity.multiplicity_table",
-            "engine.cohomology", "counting.count"} <= set(report["spans"])
+            "engine.cohomology", "counting.count",
+            "exact_linalg.solve"} <= set(report["spans"])

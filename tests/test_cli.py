@@ -191,6 +191,15 @@ def test_help_exits_0(capsys):
     assert exc.value.code == 0 and out.startswith("usage: toric-cohomology")
 
 
+def test_main_writes_to_the_streams_of_the_call(p2_path, capsys):
+    # the streams are looked up when run is called, so capsys sees them
+    assert main([p2_path, "--class=0"]) == 0
+    assert capsys.readouterr() == ("(0): 1 0 0\n", "")
+    assert main(["/no/such/file.json", "--class=0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read /no/such/file.json")
+
+
 def test_non_finite_exit_code(tmp_path):
     model = {
         "coordinates": ["x1", "x2", "x3"],
@@ -216,6 +225,19 @@ def test_receding_fiber_without_rational_points(tmp_path):
     assert invoke([str(path), "--class=-2"]) == (0, "(-2): 0 0\n", "")
     code, _, err = invoke([str(path), "--class=2"])
     assert code == 2 and "non-finite" in err
+
+
+@pytest.mark.parametrize("spec", ["0,0", "1,2", "-3,-1", "5,-5"])
+def test_factor_outside_cohomological_range_exits_2(spec, tmp_path):
+    # the lcm lattice is {1, x1 x2 x3 x4}, and the full degree's factor
+    # sits at r = 1, so it weighs into h^(4 - 1) = h^3 of a surface
+    model = {"coordinates": ["x1", "x2", "x3", "x4"], "dimension": 2,
+             "charges": [[1, 0], [1, 0], [1, 1], [0, 1]], "sr_ideal": [[1, 2, 3, 4]]}
+    path = tmp_path / "sr_only.json"
+    path.write_text(json.dumps(model))
+    code, out, err = invoke([str(path), f"--class={spec}"])
+    assert (code, out) == (2, "")
+    assert err == "error: multiplicity factor lands outside cohomological range (i=3)\n"
 
 
 def test_dimension_equal_to_coordinate_count_exits_1(tmp_path):

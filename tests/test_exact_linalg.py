@@ -1,12 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from toric_cohomology.exact_linalg import (
-    DiagonalizedSystem,
-    integer_diagonalize,
-    integer_rank,
-)
+from toric_cohomology.exact_linalg import DiagonalizedSystem, integer_rank
 from toric_cohomology.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_maximize
 
 from util import fraction_rank
@@ -34,21 +31,30 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def test_diagonalize_transforms_consistently():
+def as_system(rows):
+    return DiagonalizedSystem(tuple(map(tuple, rows)))
+
+
+def test_column_echelon_invariants():
     rng = random.Random(11)
     for _ in range(100):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        a = random_matrix(rng, nr, nc)
-        d, u, v = integer_diagonalize(a)
-        assert mat_mul(mat_mul(u, a), v) == d
-        for i in range(nr):
-            for j in range(nc):
-                if i != j:
-                    assert d[i][j] == 0
-        # unimodular transforms preserve rank and are invertible over Q
-        assert integer_rank(u) == nr
-        assert integer_rank(v) == nc
-        assert integer_rank(d) == integer_rank(a)
+        a = random_matrix(rng, nr, nc, -4, 4) if rng.random() < 0.7 else \
+            random_matrix(rng, 1, nc) * nr  # repeated rows: rank-deficient
+        sys = as_system(a)
+        assert mat_mul(a, sys.v) == sys.echelon
+        assert sys.rank == integer_rank(a)
+        r = 0
+        for row, p in zip(sys.echelon, sys.pivots):
+            if p is None:
+                assert not any(row[r:])
+            else:
+                assert p == r and row[r] and not any(row[r + 1:])
+                r += 1
+        # V is unimodular: every unit vector is an integer combination of its columns
+        v_sys = as_system(sys.v)
+        for j in range(nc):
+            assert v_sys.solve([int(i == j) for i in range(nc)]) is not None
 
 
 def test_integer_solve_and_kernel():
@@ -66,6 +72,25 @@ def test_integer_solve_and_kernel():
         assert len(kernel) == nc - integer_rank(a)
         for k in kernel:
             assert all(sum(ai * ki for ai, ki in zip(row, k)) == 0 for row in a)
+
+
+def test_kernel_basis_is_a_lattice_basis():
+    # every integer kernel vector in a box is an integer combination of the
+    # basis, not just a rational one
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        nr, nc = rng.randint(1, 3), rng.randint(2, 4)
+        a = random_matrix(rng, nr, nc, -3, 3)
+        if rng.random() < 0.3:
+            a.append([x + y for x, y in zip(a[0], a[-1])])  # rank-deficient
+        basis = as_system(a).kernel_basis()
+        columns = as_system([[k[i] for k in basis] for i in range(nc)]) if basis else None
+        for x in itertools.product(range(-4, 5), repeat=nc):
+            if any(x) and all(sum(ai * xi for ai, xi in zip(row, x)) == 0 for row in a):
+                assert columns is not None and columns.solve(list(x)) is not None, (a, x)
+                checked += 1
+    assert checked > 1000
 
 
 def test_integer_solve_detects_unsolvable():

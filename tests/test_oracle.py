@@ -17,6 +17,7 @@ from toric_cohomology import (
     oracle_for,
     sr_from_max_cones,
 )
+from toric_cohomology import engine as engine_module
 from toric_cohomology.engine import counter_for
 from toric_cohomology.oracle import HOCHSTER_SAMPLE
 
@@ -44,7 +45,7 @@ class TestFanComplex:
         with pytest.raises(ModelError, match="max_cones"):
             fan_complex(m)
         with pytest.raises(ModelError, match="max_cones"):
-            FanOracle(m)
+            FanOracle(CohomologyEngine(m))
 
 
 class TestRestrictionHomology:
@@ -116,7 +117,7 @@ class TestHochster:
         # P1^4 has 240 degrees outside its 16-degree lattice, more than the sample
         p1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
         m = product_model(p1, load_bundled("P1xP1xP1"))
-        a, b = FanOracle(m), FanOracle(m)
+        a, b = FanOracle(CohomologyEngine(m)), FanOracle(CohomologyEngine(m))
         ra, rb = a.hochster_check(), b.hochster_check()
         assert ra.vanishing_checked == rb.vanishing_checked == HOCHSTER_SAMPLE
         assert ra.mismatches == rb.mismatches == []
@@ -124,7 +125,7 @@ class TestHochster:
         assert a._homology.keys() == b._homology.keys()
 
     def test_mismatch_is_reported(self, p2):
-        oracle = FanOracle(p2)
+        oracle = FanOracle(CohomologyEngine(p2))
         oracle._homology = {}
         oracle._homology[0b111] = {0: 5}  # poison the cache
         report = oracle.hochster_check()
@@ -142,3 +143,14 @@ class TestOwnership:
     def test_direct_engine_has_a_private_counter(self):
         m = load_bundled("F1")
         assert CohomologyEngine(m).counter is not counter_for(m)
+        # a bare model, as bench/make_refs.py passes, gets an engine of its own
+        assert FanOracle(m).counter is not counter_for(m)
+
+    def test_direct_engine_oracle_stays_on_that_engine(self):
+        m = load_bundled("dP3")
+        engine = CohomologyEngine(m)
+        assert engine.oracle.counter is engine.counter
+        registered = dict(engine_module._engines)
+        assert engine.oracle.hochster_check().ok
+        assert "table" in vars(engine)  # the owner's factor table was built
+        assert engine_module._engines == registered

@@ -54,7 +54,7 @@ def test_lattice_and_factors_match_the_gamma_route(case):
 def test_polygon_fans(gaps, divisors):
     rays = polygon_rays(gaps)
     model = polygon_model(rays)
-    engine, oracle = CohomologyEngine(model), FanOracle(model)
+    engine, oracle = CohomologyEngine(model), FanOracle(CohomologyEngine(model))
     for a in divisors:
         a = a[:model.n]
         alpha = charge_image(model, a)
