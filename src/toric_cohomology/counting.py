@@ -4,18 +4,25 @@ For a divisor class alpha and a coordinate subset sigma, the neg-group is
 the set of integer vectors u with charge image alpha whose negative entries
 sit exactly on sigma.  A class outside the charge lattice has an empty
 fiber.  Otherwise u = u0 + K y over an integer kernel basis K of the charge
-map, and the signs of u become rows `coeffs . y <= rhs` over y in Z^d.  One
-Fourier-Motzkin routine decides them: the recession test on the
-homogeneous rows (sigma only), rational emptiness of a receding fiber
-(empty, else infinite), and the lattice points of a finite one.  A count
-walks a finite fiber over all but its last two kernel coordinates and sums
+map, and the signs of u become rows `coeffs . y <= rhs` over y in Z^d.
+One routine, `_circuits`, lists once per model the support-minimal
+integer relations t (circuits) among the rows K_i.  As bit masks memoized
+per class and per sigma they decide whether a fiber has a rational point
+(Farkas' lemma; one AND of a class's kill mask and a sigma's fit mask)
+and whether it recedes (Stiemke's lemma: the circuits that fit sigma
+leave a coordinate uncovered); a receding fiber with a point is infinite.
+Both tests rest on the conformal decomposition into circuits (Rockafellar
+1969).  Fourier-Motzkin elimination only builds the levels of the fibers
+left, which have rational points and do not recede.  A count walks such a
+fiber over all but its last two kernel coordinates and sums
 those two in closed form: per value of the second-to-last, the integer
 range of the last is floor(min of upper lines) - ceil(max of lower lines)
 + 1, summed piecewise with a floor sum.  `enumerate` (and through it
 `--breakdown`) walks every point instead, and is the count's reference.
 
-A `NegGroupCounter` holds one model's kernel basis and its recession,
-base-point and count memos.  Its owner is the model's
+A `NegGroupCounter` holds one model's kernel basis, its circuits and its
+memos: recession and fit mask per sigma, base point and kill mask per
+class, count per (class, sigma).  Its owner is the model's
 `engine.CohomologyEngine`; `engine.counter_for` and the `neg_group_count`
 / `enumerate_neg_group` helpers reach it there.
 
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, Sequence
 
 from .exact_linalg import DiagonalizedSystem
@@ -48,6 +56,7 @@ class CountResult:
 
 
 INFINITE = CountResult(None)
+ZERO = CountResult(0)
 
 
 def _fm_eliminate(rows, var):
@@ -78,32 +87,82 @@ def _fm_eliminate(rows, var):
     return list(cleaned)
 
 
-def _recedes(rows, nvars) -> bool:
-    """True iff the homogeneous rows {y : coeffs . y <= 0} cut out a nonzero cone.
+def _reduced_rows(rows):
+    """Integer rows with the same solution space in reduced echelon form, zero rows dropped.
 
-    Eliminating y_(nvars-1) down to y_(k+1) leaves level k, rows over
-    y_0..y_k.  Cut at y_0 = ... = y_(k-1) = 0 it reads {a y_k <= 0}: {0}
-    exactly when both signs of a occur.  A nonzero cone point has a first
-    nonzero entry, so the cone is nonzero iff some level misses a sign.
+    Each pivot column is nonzero in its own row only.
     """
-    rows = [(co, 0) for co, _ in rows]
-    for var in range(nvars - 1, -1, -1):
-        if {co[var] > 0 for co, _ in rows if co[var]} != {True, False}:
-            return True
-        if var:
-            rows = _fm_eliminate(rows, var)
-    return False
+    pending, done = [list(r) for r in rows], []
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in pending if r[col]), None)
+        if piv is None:
+            continue
+        pending.remove(piv)
+        for part in (pending, done):
+            for i, r in enumerate(part):
+                if r[col]:
+                    part[i] = _primitive([piv[col] * x - r[col] * y for x, y in zip(r, piv)])
+        done.append(piv)
+    return done
+
+
+def _primitive(v):
+    """v divided by the gcd of its entries."""
+    g = math.gcd(*v) or 1
+    return [x // g for x in v]
+
+
+def _circuits(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The oriented circuits of `vectors`: each support-minimal primitive
+    integer t != 0 with sum_i t_i vectors_i = 0, in both orientations.
+
+    The conditions, one per coordinate of the vectors, are first brought to
+    reduced echelon form.  Then, from the unit vectors, one row at a time:
+    the circuits of the space L so far that satisfy the row stay, and each
+    pair that does not gives the combination cancelling it.  Every circuit
+    of L cut by the row's hyperplane H arises so, because the part of L
+    supported on it has dimension at most 2, and the support-minimal
+    candidates are exactly the circuits of L and H.  After k rows a circuit
+    has at most k + 1 entries, which discards most pairs unbuilt.  In
+    reduced echelon order the pivots of the rows to come are still free, so
+    no intermediate list outgrows the final one by more than the rank.
+    """
+    n = len(vectors)
+    rows = _reduced_rows(list(zip(*vectors)))
+    found = {1 << i: tuple(int(i == j) for j in range(n)) for i in range(n)}  # support -> vector
+    for k, h in enumerate(rows, 2):
+        keep, cut = {}, []
+        for supp, v in found.items():
+            a = sum(x * y for x, y in zip(v, h))
+            if a:
+                cut.append((supp, v, a))
+            else:
+                keep[supp] = v
+        fresh = {}
+        for j, (s, v, a) in enumerate(cut):
+            for t, w, b in cut[j + 1:]:
+                if (s ^ t).bit_count() > k:  # entries outside s & t cannot cancel
+                    continue
+                c = tuple(b * x - a * y for x, y in zip(v, w))
+                supp = sum(1 << i for i, x in enumerate(c) if x)
+                if supp.bit_count() <= k:
+                    fresh[supp] = c
+        for supp in sorted(fresh, key=int.bit_count):
+            if not any(t & supp == t for t in keep):
+                c = _primitive(fresh[supp])
+                keep[supp] = tuple(c) if next(filter(None, c)) > 0 else tuple(-x for x in c)
+        found = keep
+    return [o for v in found.values() for o in (v, tuple(-x for x in v))]
 
 
 def recession_test(a: Sequence[Sequence[int]]) -> bool:
     """True iff A w = 0 admits a nonzero nonnegative rational solution.
 
-    Over an integer kernel basis K of A, w = K y, so the cone
-    {A w = 0, w >= 0} is nonzero iff {y : -K y <= 0} is (`_recedes`).
+    A nonzero solution w >= 0 is a positive sum of circuits of the columns
+    of A conformal to it (Rockafellar 1969), so one exists iff some circuit
+    is >= 0.
     """
-    kernel = DiagonalizedSystem(tuple(map(tuple, a))).kernel_basis()
-    n = len(a[0]) if a else 0
-    return _recedes([(tuple(-col[i] for col in kernel), 0) for i in range(n)], len(kernel))
+    return any(min(t) >= 0 for t in _circuits(list(zip(*a))))
 
 
 def _first_var_range(rows, prefix):
@@ -129,13 +188,6 @@ def _first_var_range(rows, prefix):
     return (lo, hi) if lo <= hi else None
 
 
-def _rationally_empty(rows, nvars) -> bool:
-    """True iff {y : coeffs . y <= rhs} has no rational point."""
-    for var in range(nvars - 1, -1, -1):
-        rows = _fm_eliminate(rows, var)
-    return any(rhs < 0 for _, rhs in rows)
-
-
 def _levels(rows, nvars):
     """The Fourier-Motzkin levels of a non-receding system: levels[k] holds the rows over y_0..y_k."""
     levels = [rows]
@@ -158,7 +210,7 @@ def _walk(levels, prefix) -> Iterator[tuple[int, ...]]:
 
 
 def _lattice_points(rows, nvars) -> Iterator[tuple[int, ...]]:
-    """All integer points of {y : coeffs . y <= rhs}, lexicographic; `_recedes` must be false."""
+    """All integer points of {y : coeffs . y <= rhs}, lexicographic; the rows must not recede."""
     if nvars == 0:
         if all(rhs >= 0 for _, rhs in rows):
             yield ()
@@ -249,7 +301,7 @@ def _count(levels, prefix) -> int:
 
 
 def _lattice_count(rows, nvars) -> int:
-    """The number of integer points of {y : coeffs . y <= rhs}; `_recedes` must be false."""
+    """The number of integer points of {y : coeffs . y <= rhs}; the rows must not recede."""
     if nvars == 0:
         return int(all(rhs >= 0 for _, rhs in rows))
     return _count(_levels(rows, nvars), ())
@@ -272,20 +324,70 @@ class NegGroupCounter:
         self._rows = [tuple(col[i] for col in kernel) for i in range(model.n)]
         self._neg_rows = [tuple(-x for x in row) for row in self._rows]
         self._recession: Dict[int, bool] = {}
-        self._base: Dict[DivisorClass, list[int] | None] = {}
+        self._fit: Dict[int, int] = {}
+        self._base: Dict[DivisorClass, tuple[list[int] | None, int]] = {}
         self._counts: Dict[tuple[DivisorClass, int], CountResult] = {}
 
-    def recession(self, sigma: int) -> bool:
-        if sigma not in self._recession:
-            rows = self._inequalities((0,) * self.model.n, sigma)
-            self._recession[sigma] = _recedes(rows, self._d)
-        return self._recession[sigma]
+    @cached_property
+    def _kernel_circuits(self):
+        """The circuits t of the rows K_i, one orientation each, and the sign masks of both.
 
-    def _base_point(self, alpha: DivisorClass):
-        alpha = tuple(alpha)
-        if alpha not in self._base:
-            self._base[alpha] = self._system.solve(list(alpha))
-        return self._base[alpha]
+        Entry j of the list is (t, sum of its positive entries, sum of its
+        negative entries negated); bit 2j of a mask stands for t and bit
+        2j + 1 for -t.  Per coordinate i the masks hold the circuits with
+        t_i >= 0 and those with t_i <= 0.
+        """
+        oriented = _circuits(self._rows)
+        pairs = [(t, sum(x for x in t if x > 0), -sum(x for x in t if x < 0)) for t in oriented[::2]]
+        masks = [
+            (sum(1 << j for j, t in enumerate(oriented) if t[i] >= 0),
+             sum(1 << j for j, t in enumerate(oriented) if t[i] <= 0))
+            for i in range(self.model.n)
+        ]
+        return pairs, masks
+
+    def recession(self, sigma: int) -> bool:
+        """True iff the homogeneous sign rows of sigma admit some y != 0.
+
+        By Stiemke's lemma they do not iff some t with sum t_i K_i = 0 has
+        t_i > 0 on sigma and t_i < 0 off it.  Such a t is a sum of circuits
+        that fit sigma, so it exists iff those circuits cover every
+        coordinate.
+        """
+        rec = self._recession.get(sigma)
+        if rec is None:
+            fit = self._fit_mask(sigma)
+            rec = self._recession[sigma] = any(
+                not fit & ~(nonneg & nonpos) for nonneg, nonpos in self._kernel_circuits[1]
+            )
+        return rec
+
+    def _class(self, alpha: DivisorClass):
+        """(u0, kill) for a class: one integer point u0 of its fiber, None
+        outside the charge lattice, and its kill mask, the oriented circuits
+        t of the K rows with t . u0 + sum_(t_i > 0) t_i > 0."""
+        entry = self._base.get(alpha)
+        if entry is None:
+            u0, kill = self._system.solve(list(alpha)), 0
+            if u0 is not None:
+                for j, (t, pos, neg) in enumerate(self._kernel_circuits[0]):
+                    dot = sum(x * y for x, y in zip(t, u0))
+                    if dot + pos > 0:
+                        kill |= 1 << 2 * j
+                    if neg - dot > 0:
+                        kill |= 2 << 2 * j
+            entry = self._base[alpha] = (u0, kill)
+        return entry
+
+    def _fit_mask(self, sigma: int) -> int:
+        """The oriented circuits t of the K rows that fit sigma: t_i >= 0 on sigma, t_i <= 0 off it."""
+        fit = self._fit.get(sigma)
+        if fit is None:
+            fit = -1
+            for i, (nonneg, nonpos) in enumerate(self._kernel_circuits[1]):
+                fit &= nonneg if sigma >> i & 1 else nonpos
+            self._fit[sigma] = fit
+        return fit
 
     def _inequalities(self, u0: Sequence[int], sigma: int):
         """Sign constraints on u = u0 + K y as rows (coeffs, rhs) over y."""
@@ -296,32 +398,46 @@ class NegGroupCounter:
         ]
 
     def _fiber(self, alpha: DivisorClass, sigma: int):
-        """The neg-group's sign rows over y: None if it is infinite, [] if it is empty."""
-        u0 = self._base_point(alpha)
+        """The neg-group's sign rows over y: None if it is infinite, () if it is empty.
+
+        By Farkas the rows are infeasible over Q iff a nonnegative
+        combination of them reads 0 <= negative.  Its multipliers, signed by
+        row, are a t with sum t_i K_i = 0 that fits sigma and has
+        t . u0 + sum_(t_i > 0) t_i > 0, and by conformal decomposition a
+        circuit does as well.  So the circuits decide emptiness with one
+        AND of two masks, and recession, before any row is built.
+        """
+        u0, kill = self._class(alpha)
         if u0 is None:  # alpha is not in the charge lattice: no vectors at all
-            return []
-        rows = self._inequalities(u0, sigma)
+            return ()
+        if kill & self._fit_mask(sigma):
+            return ()
         if self.recession(sigma):
-            return [] if _rationally_empty(rows, self._d) else None
-        return rows
+            return None
+        return self._inequalities(u0, sigma)
 
     def count(self, alpha: DivisorClass, sigma: int) -> CountResult:
         key = (tuple(alpha), sigma)
-        if key not in self._counts:
-            rows = self._fiber(alpha, sigma)
-            self._counts[key] = (
-                INFINITE if rows is None else CountResult(_lattice_count(rows, self._d) if rows else 0)
-            )
-        return self._counts[key]
+        result = self._counts.get(key)
+        if result is None:
+            rows = self._fiber(*key)
+            if rows is None:
+                result = INFINITE
+            else:
+                value = _lattice_count(rows, self._d) if rows else 0
+                result = CountResult(value) if value else ZERO
+            self._counts[key] = result
+        return result
 
     def enumerate(self, alpha: DivisorClass, sigma: int):
         """The explicit exponent vectors of a finite neg-group, lexicographic."""
+        alpha = tuple(alpha)
         rows = self._fiber(alpha, sigma)
         if rows is None:
             raise ValueError("cannot enumerate an infinite neg-group")
         if not rows:
             return []
-        u0 = self._base_point(alpha)
+        u0 = self._class(alpha)[0]
         return sorted(
             tuple(x + sum(k * y for k, y in zip(row, ys)) for x, row in zip(u0, self._rows))
             for ys in _lattice_points(rows, self._d)

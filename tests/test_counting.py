@@ -13,20 +13,25 @@ from toric_cohomology import (
     recession_test,
 )
 from toric_cohomology.counting import (
+    ZERO,
+    _circuits,
     _floor_sum,
     _lattice_count,
     _lattice_points,
-    _recedes,
     format_rationom,
 )
 from toric_cohomology.engine import counter_for
 from toric_cohomology.model import parse_variety
 
 from util import (
+    _recedes,
     boxed_recession_test,
     brute_force_neg_group,
     charge_image,
+    circuit_supports,
     cone_recession_test,
+    fiber_verdict,
+    fm_fiber_verdict,
     mask_of,
     neg_mask,
     polygon_model,
@@ -38,6 +43,9 @@ from util import (
 
 RECEDING = {"coordinates": ["x1", "x2"], "dimension": 1,
              "charges": [[2], [0]], "sr_ideal": [[2]]}
+POINT = {"coordinates": ["x1", "x2"], "dimension": 0,
+         "charges": [[1, 0], [0, 1]], "sr_ideal": [[1, 2]]}
+P1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
 
 
 @pytest.fixture(scope="module")
@@ -93,11 +101,10 @@ class TestRecessionTest:
                 assert counter.recession(sigma) == expect, (model.n, sigma)
 
     def test_matches_cone_program_on_larger_models(self):
-        p1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
         models = [
             polygon_model(polygon_rays([0, 2, 4, 6, 1])),
-            product_model(p1, product_model(p1, load_bundled("P1xP1xP1"))),
-            product_model(load_bundled("dP3"), p1),
+            product_model(P1, product_model(P1, load_bundled("P1xP1xP1"))),
+            product_model(load_bundled("dP3"), P1),
         ]
         for model in models:
             counter = counter_for(model)
@@ -110,6 +117,91 @@ class TestRecessionTest:
     def test_zero_rows_recede(self):
         assert recession_test([[0, 0]]) is True
         assert recession_test([[0, 0], [1, 1]]) is False
+
+
+def oriented(*vectors):
+    return sorted(v for t in vectors for v in (t, tuple(-x for x in t)))
+
+
+def doubled(model):
+    """The model with every charge doubled: classes with an odd entry leave the charge lattice."""
+    return type(model)(model.coordinate_names, model.dim,
+                       tuple(tuple(2 * q for q in row) for row in model.charges),
+                       model.sr_generators, model.max_cones)
+
+
+class TestCircuits:
+    def test_hand_checked(self):
+        # P1 and P2: the K rows are dependent only through the charge row
+        assert sorted(_circuits(counter_for(P1)._rows)) == oriented((1, 1))
+        assert sorted(_circuits(counter_for(load_bundled("P2"))._rows)) == oriented((1, 1, 1))
+        assert sorted(_circuits(P1.charges)) == oriented((1, -1))
+        # d = 0: every K row is the empty vector
+        point = counter_for(parse_variety(json.dumps(POINT)))
+        assert point._rows == [(), ()]
+        assert sorted(_circuits(point._rows)) == oriented((1, 0), (0, 1))
+        # K rows (0,) and (1,); charges 2 and 0
+        receding = parse_variety(json.dumps(RECEDING))
+        assert sorted(_circuits(counter_for(receding)._rows)) == oriented((1, 0))
+        assert sorted(_circuits(receding.charges)) == oriented((0, 1))
+        assert _circuits([]) == []
+
+    def test_match_ranks_of_every_subset(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            n, m = rng.randint(1, 7), rng.randint(0, 4)
+            vectors = [tuple(rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(m)) for _ in range(n)]
+            if rng.random() < 0.2 and n > 1:
+                vectors[1] = tuple(2 * x for x in vectors[0])  # a parallel pair
+            got = _circuits(vectors)
+            assert len(set(got)) == len(got) and sorted(got) == oriented(*got[::2])
+            for t in got:
+                assert math.gcd(*t) == 1
+                assert all(sum(ti * v[r] for ti, v in zip(t, vectors)) == 0 for r in range(m))
+            assert {sum(1 << i for i, x in enumerate(t) if x) for t in got} == circuit_supports(vectors)
+
+
+class TestCircuitVerdicts:
+    """Circuits decide emptiness and recession; Fourier-Motzkin is the reference."""
+
+    MODELS = {name: load_bundled(name) for name in ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3")}
+    MODELS.update((f"{n}-gon", polygon_model(polygon_rays([0, 2, 4, 6, 1, 3][:n - 3]))) for n in range(4, 10))
+    MODELS.update({
+        "dP3xP1": product_model(load_bundled("dP3"), P1),
+        "P1^4": product_model(P1, product_model(P1, load_bundled("P1xP1"))),
+        "2F1": doubled(load_bundled("F1")),
+        "2P2": doubled(load_bundled("P2")),
+        "receding": parse_variety(json.dumps(RECEDING)),
+    })
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_every_sigma_over_sampled_classes(self, name):
+        model = self.MODELS[name]
+        rng = random.Random(model.n)
+        counter = counter_for(model)
+        # the classes of a few small vectors and their neighbours, inside and
+        # (for the doubled charges) outside the charge lattice
+        classes = {(1,) * model.num_classes}
+        for _ in range(6):
+            alpha = charge_image(model, [rng.randint(-2, 2) for _ in range(model.n)])
+            classes.add(alpha)
+            classes.add(tuple(a + rng.randint(-1, 1) for a in alpha))
+        seen = set()
+        for alpha in sorted(classes):
+            for sigma in range(1 << model.n):
+                verdict = fiber_verdict(counter, alpha, sigma)
+                assert verdict == fm_fiber_verdict(counter, alpha, sigma), (alpha, sigma)
+                seen.add(verdict)
+        assert "empty" in seen and len(seen) > 1
+        for sigma in range(1 << model.n):
+            rows = counter._inequalities((0,) * model.n, sigma)
+            assert counter.recession(sigma) == _recedes(rows, counter._d), sigma
+
+    def test_empty_fibers_share_one_zero(self, p2):
+        counter = counter_for(p2)
+        assert counter.count((2,), 0b111) is ZERO  # killed by the circuit (1, 1, 1)
+        assert counter.count((-1,), 0) is ZERO
+        assert counter.count((1,), 0).value == 3
 
 
 class TestCounts:

@@ -18,7 +18,11 @@ from toric_cohomology.engine import CohomologyEngine
 from toric_cohomology.oracle import FanOracle
 
 from util import (
+    _recedes,
     charge_image,
+    fiber_verdict,
+    fm_fiber_verdict,
+    neg_mask,
     gamma_factor_table,
     naive_degree_map,
     polygon_model,
@@ -85,6 +89,30 @@ def test_count_matches_enumeration(gaps, factor, a):
         count = engine.counter.count(alpha, sigma)
         if not count.is_infinite:
             assert count.value == len(engine.counter.enumerate(alpha, sigma)), (alpha, sigma)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    gaps=st.lists(st.integers(0, 6), max_size=4),
+    factor=st.sampled_from([None, "P1", "F1"]),
+    a=st.lists(st.integers(-3, 4), min_size=11, max_size=11),
+    shift=st.lists(st.integers(-1, 1), min_size=4, max_size=4),
+    data=st.data(),
+)
+def test_circuits_decide_like_fourier_motzkin(gaps, factor, a, shift, data):
+    # the kill-and-fit verdict on fibers, and recession from the circuits
+    # that fit sigma, against Fourier-Motzkin on the same rows
+    model = polygon_model(polygon_rays(gaps))
+    if factor is not None:
+        model = product_model(model, P1 if factor == "P1" else load_bundled("F1"))
+    counter = CohomologyEngine(model).counter
+    alpha = charge_image(model, a[:model.n])
+    alpha = tuple(x + s for x, s in zip(alpha, shift + [0] * len(alpha)))
+    sigmas = data.draw(st.lists(st.integers(0, (1 << model.n) - 1), max_size=40))
+    for sigma in [neg_mask(a[:model.n])] + sigmas:
+        assert fiber_verdict(counter, alpha, sigma) == fm_fiber_verdict(counter, alpha, sigma), (alpha, sigma)
+        rows = counter._inequalities((0,) * model.n, sigma)
+        assert counter.recession(sigma) == _recedes(rows, counter._d), sigma
 
 
 json_values = st.recursive(

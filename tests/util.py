@@ -4,9 +4,9 @@ Everything here deliberately avoids the optimized code paths it is used to
 check: dense rational boundary matrices instead of the fraction-free route,
 full powerset loops and the paper's exact-degree complexes instead of the
 lcm-lattice closure and Hochster's formula, bounding-box searches instead
-of polytope walks, the exact simplex instead of Fourier-Motzkin.  It also
-holds the simplicial operations only the tests use: explicit face lists,
-the link and the Alexander dual.
+of polytope walks, the exact simplex and Fourier-Motzkin elimination
+instead of circuits.  It also holds the simplicial operations only the
+tests use: explicit face lists, the link and the Alexander dual.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import itertools
 from fractions import Fraction
 
 from toric_cohomology._bits import bits, complement
+from toric_cohomology.counting import _fm_eliminate
 from toric_cohomology.exact_linalg import DiagonalizedSystem
 from toric_cohomology.lp import OPTIMAL, UNBOUNDED, simplex_maximize
 from toric_cohomology.model import ToricVarietyModel, sr_from_max_cones
@@ -62,6 +63,23 @@ def alexander_dual(delta: FaceSet) -> FaceSet:
     full = (1 << n) - 1
     faces = frozenset(m for m in range(1 << n) if (full ^ m) not in delta.faces)
     return FaceSet(n, faces)
+
+
+def circuit_supports(vectors) -> set[int]:
+    """The supports of the circuits of `vectors`, by ranks of every subset.
+
+    S is a circuit support iff the vectors on S have rank |S| - 1 and so
+    does every S minus one element (dependent, every proper subset not).
+    """
+    n = len(vectors)
+
+    def rank(mask):
+        return fraction_rank([vectors[i] for i in bits(mask)]) if mask else 0
+
+    return {
+        s for s in range(1, 1 << n)
+        if rank(s) == s.bit_count() - 1 and all(rank(s & ~(1 << i)) == s.bit_count() - 1 for i in bits(s))
+    }
 
 
 def fraction_rank(rows) -> int:
@@ -294,6 +312,47 @@ def boxed_recession_test(a) -> bool:
     status, value, _ = simplex_maximize(rows, [0] * m + [1] * n, [1] * n + [0] * n)
     assert status == OPTIMAL  # the box bounds the program and w = 0 is feasible
     return value > 0
+
+
+def _recedes(rows, nvars) -> bool:
+    """True iff the homogeneous rows {y : coeffs . y <= 0} cut out a nonzero cone.
+
+    Eliminating y_(nvars-1) down to y_(k+1) leaves level k, rows over
+    y_0..y_k.  Cut at y_0 = ... = y_(k-1) = 0 it reads {a y_k <= 0}: {0}
+    exactly when both signs of a occur.  A nonzero cone point has a first
+    nonzero entry, so the cone is nonzero iff some level misses a sign.
+    """
+    rows = [(co, 0) for co, _ in rows]
+    for var in range(nvars - 1, -1, -1):
+        if {co[var] > 0 for co, _ in rows if co[var]} != {True, False}:
+            return True
+        if var:
+            rows = _fm_eliminate(rows, var)
+    return False
+
+
+def _rationally_empty(rows, nvars) -> bool:
+    """True iff {y : coeffs . y <= rhs} has no rational point (Fourier-Motzkin down to constants)."""
+    for var in range(nvars - 1, -1, -1):
+        rows = _fm_eliminate(rows, var)
+    return any(rhs < 0 for _, rhs in rows)
+
+
+def fiber_verdict(counter, alpha, sigma):
+    """The counter's verdict on a neg-group's fiber, decided by its circuits."""
+    rows = counter._fiber(alpha, sigma)
+    return "infinite" if rows is None else "finite" if rows else "empty"
+
+
+def fm_fiber_verdict(counter, alpha, sigma):
+    """The Fourier-Motzkin verdict on a neg-group's fiber: "empty", "infinite" or "finite"."""
+    u0 = counter._class(tuple(alpha))[0]
+    if u0 is None:
+        return "empty"
+    rows = counter._inequalities(u0, sigma)
+    if _rationally_empty(rows, counter._d):
+        return "empty"
+    return "infinite" if _recedes(rows, counter._d) else "finite"
 
 
 def charge_image(model, u):
