@@ -21,7 +21,7 @@ from typing import Sequence
 
 from ._bits import bitstring, to_1based
 from .counting import format_rationom
-from .engine import CohomologyResult, engine_for, enumerate_neg_group
+from .engine import CohomologyResult, engine_for
 from .errors import ModelError, NonFiniteCohomologyError
 from .model import ToricVarietyModel, load_variety
 from .oracle import oracle_for
@@ -99,20 +99,19 @@ def parse_box_spec(spec: str, k: int) -> list[tuple[int, ...]]:
     return list(itertools.product(*ranges))
 
 
-def result_to_json(model: ToricVarietyModel, result: CohomologyResult) -> dict:
-    breakdown = []
-    for entry in result.breakdown:
-        breakdown.append({
-            "degree": bitstring(entry.degree, model.n),
-            "count": "inf" if entry.count.is_infinite else entry.count.value,
-            "factors": {str(r): b for r, b in sorted(entry.factors.items())},
-            "contrib": {str(i): c for i, c in sorted(entry.contrib.items())},
-        })
-    return {
-        "alpha": list(result.alpha),
-        "h": list(result.dims),
-        "breakdown": breakdown,
-    }
+def result_to_json(model: ToricVarietyModel, result: CohomologyResult, breakdown: bool) -> dict:
+    row = {"alpha": list(result.alpha), "h": list(result.dims)}
+    if breakdown:
+        row["breakdown"] = [
+            {
+                "degree": bitstring(entry.degree, model.n),
+                "count": entry.count.value,
+                "factors": {str(r): b for r, b in sorted(entry.factors.items())},
+                "contrib": {str(i): c for i, c in sorted(entry.contrib.items())},
+            }
+            for entry in result.breakdown
+        ]
+    return row
 
 
 def _alpha_str(alpha: Sequence[int]) -> str:
@@ -129,7 +128,7 @@ def _print_breakdown(model: ToricVarietyModel, result: CohomologyResult, out) ->
             file=out,
         )
         if entry.count.value and entry.count.value <= RATIONOM_LISTING_LIMIT:
-            vectors = enumerate_neg_group(model, result.alpha, entry.degree)
+            vectors = result.engine.counter.enumerate(result.alpha, entry.degree)
             monos = ", ".join(format_rationom(model, u) for u in vectors)
             print(f"      rationoms: {monos}", file=out)
 
@@ -149,6 +148,8 @@ def run(args, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
+        if args.breakdown and args.format == "csv":
+            raise ModelError("--breakdown needs --format=table or --format=json")
         model = load_variety(args.input)
         alphas = _choose_classes(args, model.num_classes)
         engine = engine_for(model)
@@ -173,7 +174,7 @@ def run(args, out=None, err=None) -> int:
         return 2
 
     if args.format == "json":
-        payload = [result_to_json(model, r) for r, _ in rows]
+        payload = [result_to_json(model, r, args.breakdown) for r, _ in rows]
         json.dump(payload, out, indent=2)
         print(file=out)
     elif args.format == "csv":

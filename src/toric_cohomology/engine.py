@@ -8,6 +8,11 @@ vanishing theorem: the factors of every other degree are zero), so this
 is the paper's dual-degree sum; on defective input a divergent term
 surfaces as a hard error instead of being silently dropped.
 
+The engine only sums.  A `CohomologyResult` keeps its engine and lists
+the per-degree `breakdown` the first time it is read, from the engine's
+factor table and memoized counts; nothing is built for a class whose
+breakdown nobody reads.
+
 Per-model state has one owner.  A `CohomologyEngine` holds the model's
 degree scan, factor table and neg-group counter, and builds its
 `FanOracle` on first use.  `engine_for` keeps one engine per model;
@@ -41,14 +46,32 @@ class BreakdownEntry:
     degree: int
     count: CountResult
     factors: Dict[int, int]
-    contrib: Dict[int, int]
+
+    @property
+    def contrib(self) -> Dict[int, int]:
+        """{i: count * beta} with i = |degree| - r; empty for a zero count."""
+        value = self.count.value
+        if not value:
+            return {}
+        size = bin(self.degree).count("1")
+        return {size - r: value * beta for r, beta in self.factors.items()}
 
 
 @dataclass
 class CohomologyResult:
     alpha: DivisorClass
     dims: tuple[int, ...]
-    breakdown: list[BreakdownEntry] = field(default_factory=list)
+    engine: CohomologyEngine = field(repr=False, compare=False)
+
+    @cached_property
+    def breakdown(self) -> list[BreakdownEntry]:
+        """One entry per lattice degree with nonzero factors, in degree order."""
+        count = self.engine.counter.count
+        return [
+            BreakdownEntry(deg, count(self.alpha, deg), dict(factors))
+            for deg, factors in self.engine.table.items()
+            if factors
+        ]
 
 
 class CohomologyEngine:
@@ -79,7 +102,11 @@ class CohomologyEngine:
         return FanOracle(self)
 
     def cohomology(self, alpha: DivisorClass) -> CohomologyResult:
-        """h^0..h^d of the line bundle selected by alpha, with breakdown."""
+        """h^0..h^d of the line bundle selected by alpha.
+
+        Raises `NonFiniteCohomologyError` when a degree with nonzero factors
+        has an infinite neg-group or a factor outside 0..d.
+        """
         alpha = tuple(alpha)
         if len(alpha) != self.model.num_classes:
             raise ValueError(
@@ -87,7 +114,6 @@ class CohomologyEngine:
             )
         d = self.model.dim
         dims = [0] * (d + 1)
-        breakdown = []
         for deg, factors in self.table.items():
             if not factors:
                 continue
@@ -99,18 +125,14 @@ class CohomologyEngine:
                     "(input fan likely not complete)"
                 )
             size = bin(deg).count("1")
-            contrib: Dict[int, int] = {}
             for r, beta in factors.items():
                 i = size - r
                 if not 0 <= i <= d:
                     raise NonFiniteCohomologyError(
                         f"multiplicity factor lands outside cohomological range (i={i})"
                     )
-                if count.value:
-                    contrib[i] = contrib.get(i, 0) + count.value * beta
-                    dims[i] += count.value * beta
-            breakdown.append(BreakdownEntry(deg, count, dict(factors), contrib))
-        return CohomologyResult(alpha=alpha, dims=tuple(dims), breakdown=breakdown)
+                dims[i] += count.value * beta
+        return CohomologyResult(alpha, tuple(dims), self)
 
     def serre_check(self, alpha: DivisorClass):
         """Compare h^i(alpha) against h^(d-i)(K - alpha); returns (ok, report)."""

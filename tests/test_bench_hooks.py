@@ -40,7 +40,8 @@ tracer.install()
 from toric_cohomology import cli
 code, _, err = worker.cli_call(cli, [sys.argv[3], "--class=0"])
 print(json.dumps({"missing": missing, "code": code, "err": err,
-                  "spans": sorted({s[0] for s in tracer.spans})}))
+                  "spans": sorted({s[0] for s in tracer.spans}),
+                  "degrees_per_class": tracer.summary()["engine.degrees_per_class"]}))
 """
 
 
@@ -59,3 +60,6 @@ def test_bench_hooks_find_their_names():
     assert {"srscan.scan_powerset", "multiplicity.multiplicity_table",
             "engine.cohomology", "counting.count",
             "exact_linalg.solve"} <= set(report["spans"])
+    # P2's lattice degrees with nonzero factors are the empty set and {1,2,3};
+    # the tracer reads each result's breakdown, which is what lists them
+    assert report["degrees_per_class"] == 2

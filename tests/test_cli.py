@@ -106,8 +106,13 @@ class TestCsvOutput:
 
 class TestJsonOutput:
     def test_schema(self, p2_path):
+        code, out, _ = invoke([p2_path, "--class", "-3", "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == [{"alpha": [-3], "h": [0, 0, 1]}]
+
+    def test_schema_with_breakdown(self, p2_path):
         code, out, _ = invoke(
-            [p2_path, "--class", "-3", "--format", "json"]
+            [p2_path, "--class", "-3", "--format", "json", "--breakdown"]
         )
         assert code == 0
         payload = json.loads(out)
@@ -172,8 +177,11 @@ USAGE = "usage: toric-cohomology"
     # an empty --box is a box, not an absent one
     ([f"{DATA}/P2.json", "--box="], "error: ", "bad box range ''"),
     ([f"{DATA}/P2.json", "--box=", "--class=1"], "error: ", "not both"),
+    # CSV rows have no place for per-degree rows
+    ([f"{DATA}/P2.json", "--class=1", "--breakdown", "--format=csv"], "error: ",
+     "--breakdown needs --format=table or --format=json"),
 ], ids=["unknown-flag", "removed-flag", "no-input", "bad-format", "empty-box",
-        "empty-box-and-class"])
+        "empty-box-and-class", "csv-breakdown"])
 def test_usage_error_exits_1(argv, head, message):
     # argparse's own code 2 is the documented code for non-finite cohomology;
     # sys.exit(run(...)) is what the console script runs

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from toric_cohomology import (
+    CohomologyEngine,
     NonFiniteCohomologyError,
     ToricVarietyModel,
     canonical_class,
@@ -153,8 +154,16 @@ def test_breakdown_lists_the_nonzero_factor_degrees():
     nonzero = [deg for deg, factors in sorted(eng.table.items()) if factors]
     assert len(nonzero) == 34 and len(eng.table) == 46
     assert list(eng.table) == sorted(eng.table)
-    breakdown = cohomology(model, (1, 1, 0, -1)).breakdown
-    assert [entry.degree for entry in breakdown] == nonzero
+    result = cohomology(model, (1, 1, 0, -1))
+    assert "breakdown" not in vars(result)  # built when read, not by the engine
+    assert [entry.degree for entry in result.breakdown] == nonzero
+
+
+def test_results_of_separate_engines_compare_equal():
+    # a result holds its engine, but only alpha and dims decide equality
+    model = load_bundled("dP3")
+    a, b = (CohomologyEngine(model).cohomology((1, 1, 0, -1)) for _ in range(2))
+    assert a.engine is not b.engine and a == b
 
 
 def test_nonnegative_dims_everywhere():
