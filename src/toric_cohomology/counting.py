@@ -22,9 +22,10 @@ range of the last is floor(min of upper lines) - ceil(max of lower lines)
 
 A `NegGroupCounter` holds one model's kernel basis, its circuits and its
 memos: recession and fit mask per sigma, base point and kill mask per
-class, count per (class, sigma).  Its owner is the model's
-`engine.CohomologyEngine`; `engine.counter_for` and the `neg_group_count`
-/ `enumerate_neg_group` helpers reach it there.
+class, count per (class, sigma).  `dims` sums count * weights over the
+(sigma, weights) terms the engine or the fan oracle passes it.  Its owner
+is the model's `engine.CohomologyEngine`; `engine.counter_for` and the
+`neg_group_count` / `enumerate_neg_group` helpers reach it there.
 
 All arithmetic is exact; no floating point is used anywhere.
 """
@@ -36,6 +37,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, Sequence
 
+from ._bits import bitstring
+from .errors import NonFiniteCohomologyError
 from .exact_linalg import DiagonalizedSystem
 from .lp import simplex_maximize  # noqa: F401  no caller here; bench/spans.py wraps this name
 from .model import DivisorClass, ToricVarietyModel
@@ -428,6 +431,35 @@ class NegGroupCounter:
                 result = CountResult(value) if value else ZERO
             self._counts[key] = result
         return result
+
+    def dims(self, alpha: DivisorClass, terms) -> tuple[int, ...]:
+        """h^0..h^d of alpha: count(alpha, sigma) * weights summed over `terms`.
+
+        A sigma the class's kill mask empties is skipped before `count`, so
+        it leaves no memo entry.  An infinite count raises
+        `NonFiniteCohomologyError`.
+        """
+        alpha = tuple(alpha)
+        model = self.model
+        if len(alpha) != model.num_classes:
+            raise ValueError(f"divisor class needs {model.num_classes} entries, got {len(alpha)}")
+        dims = [0] * (model.dim + 1)
+        u0, kill = self._class(alpha)
+        if u0 is None:  # alpha is not in the charge lattice: every count is 0
+            return tuple(dims)
+        for sigma, weights in terms:
+            if kill & self._fit_mask(sigma):
+                continue
+            count = self.count(alpha, sigma)
+            if count.is_infinite:
+                raise NonFiniteCohomologyError(
+                    "non-finite cohomology: infinite neg-group at degree "
+                    f"{bitstring(sigma, model.n)} with nonzero multiplicity "
+                    "(input fan likely not complete)"
+                )
+            for i, w in enumerate(weights):
+                dims[i] += count.value * w
+        return tuple(dims)
 
     def enumerate(self, alpha: DivisorClass, sigma: int):
         """The explicit exponent vectors of a finite neg-group, lexicographic."""

@@ -8,8 +8,11 @@ vanishing theorem: the factors of every other degree are zero), so this
 is the paper's dual-degree sum; on defective input a divergent term
 surfaces as a hard error instead of being silently dropped.
 
-The engine only sums.  A `CohomologyResult` keeps its engine and lists
-the per-degree `breakdown` the first time it is read, from the engine's
+The engine only sums, through `NegGroupCounter.dims`, the one loop that
+turns counts into an h-vector.  `terms` feeds it (degree, weights into
+h^0..h^d), built and range-checked once per model; the fan oracle feeds
+it its own.  A `CohomologyResult` keeps its engine and lists the
+per-degree `breakdown` the first time it is read, from the engine's
 factor table and memoized counts; nothing is built for a class whose
 breakdown nobody reads.
 
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Sequence
 
-from ._bits import bitstring
 from .counting import CountResult, NegGroupCounter
 from .errors import NonFiniteCohomologyError
 from .model import DivisorClass, ToricVarietyModel, canonical_class
@@ -101,6 +103,28 @@ class CohomologyEngine:
 
         return FanOracle(self)
 
+    @cached_property
+    def terms(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(degree, weights into h^0..h^d) per table degree with nonzero factors.
+
+        Beta at r weights h^(|degree| - r); an index outside 0..d raises
+        `NonFiniteCohomologyError`.
+        """
+        d = self.model.dim
+        terms = []
+        for deg, factors in self.table.items():
+            weights = [0] * (d + 1)
+            for r, beta in factors.items():
+                i = deg.bit_count() - r
+                if not 0 <= i <= d:
+                    raise NonFiniteCohomologyError(
+                        f"multiplicity factor lands outside cohomological range (i={i})"
+                    )
+                weights[i] = beta
+            if factors:
+                terms.append((deg, tuple(weights)))
+        return terms
+
     def cohomology(self, alpha: DivisorClass) -> CohomologyResult:
         """h^0..h^d of the line bundle selected by alpha.
 
@@ -108,31 +132,7 @@ class CohomologyEngine:
         has an infinite neg-group or a factor outside 0..d.
         """
         alpha = tuple(alpha)
-        if len(alpha) != self.model.num_classes:
-            raise ValueError(
-                f"divisor class needs {self.model.num_classes} entries, got {len(alpha)}"
-            )
-        d = self.model.dim
-        dims = [0] * (d + 1)
-        for deg, factors in self.table.items():
-            if not factors:
-                continue
-            count = self.counter.count(alpha, deg)
-            if count.is_infinite:
-                raise NonFiniteCohomologyError(
-                    "non-finite cohomology: infinite neg-group at degree "
-                    f"{bitstring(deg, self.model.n)} with nonzero multiplicity "
-                    "(input fan likely not complete)"
-                )
-            size = bin(deg).count("1")
-            for r, beta in factors.items():
-                i = size - r
-                if not 0 <= i <= d:
-                    raise NonFiniteCohomologyError(
-                        f"multiplicity factor lands outside cohomological range (i={i})"
-                    )
-                dims[i] += count.value * beta
-        return CohomologyResult(alpha, tuple(dims), self)
+        return CohomologyResult(alpha, self.counter.dims(alpha, self.terms), self)
 
     def serre_check(self, alpha: DivisorClass):
         """Compare h^i(alpha) against h^(d-i)(K - alpha); returns (ok, report)."""

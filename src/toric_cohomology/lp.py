@@ -1,9 +1,10 @@
 """A small exact-rational simplex solver, the tests' reference (`tests/util.py`).
 
-Recession is decided by Fourier-Motzkin in `counting`; this module stays in
-the package only because `bench/worker.py` imports `lp` and `bench/spans.py`
-wraps `counting.simplex_maximize`.  Pivoting is over `fractions.Fraction`,
-so results are exact; Bland's rule prevents cycling.
+Recession is decided by circuits in `counting` (`NegGroupCounter.recession`
+and `recession_test`); this module stays in the package only because
+`bench/worker.py` imports `lp` and `bench/spans.py` wraps
+`counting.simplex_maximize`.  Pivoting is over `fractions.Fraction`, so
+results are exact; Bland's rule prevents cycling.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
 """Independent verification route through the fan complex.
 
-Sums neg-group counts against reduced homology of restrictions of the fan
+Weights neg-group counts by reduced homology of restrictions of the fan
 complex over all coordinate subsets, bypassing the Stanley-Reisner lcm
 lattice entirely.  Also provides the Hochster cross-check tying the
 multiplicity factors to restriction homology, including the vanishing
 assertions for degrees outside the scanned degree set.
 
-A `FanOracle` is built on one engine (`CohomologyEngine.oracle`) and
-counts through that engine's counter and reads its factor table, so the
-fan route and the engine share one count memo and one factor table.
+A `FanOracle` is built on one engine (`CohomologyEngine.oracle`).  Only
+its weights (`terms`) are its own: the engine's counter sums them with
+`dims`, as it sums the engine's, and shares one count memo between both.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, Sequence
 from ._bits import bitstring, complement
 from .engine import CohomologyEngine, engine_for
 from .engine import counter_for  # noqa: F401  no caller here; bench/spans.py wraps this name
-from .errors import ModelError, NonFiniteCohomologyError
+from .errors import ModelError
 from .model import DivisorClass, ToricVarietyModel
 from .simplicial import FaceSet, reduced_homology, restrict
 
@@ -87,22 +87,7 @@ class FanOracle:
 
     def cohomology_via_fan(self, alpha: DivisorClass) -> tuple[int, ...]:
         """h^0..h^d by the collected local-cohomology formula over all subsets."""
-        alpha = tuple(alpha)
-        if len(alpha) != self.model.num_classes:
-            raise ValueError(
-                f"divisor class needs {self.model.num_classes} entries, got {len(alpha)}"
-            )
-        dims = [0] * (self.model.dim + 1)
-        for sigma, weights in self.terms:
-            count = self.counter.count(alpha, sigma)
-            if count.is_infinite:
-                raise NonFiniteCohomologyError(
-                    "non-finite cohomology: infinite neg-group at sigma "
-                    f"{bitstring(sigma, self.model.n)} with nonzero restriction homology"
-                )
-            for i, w in enumerate(weights):
-                dims[i] += count.value * w
-        return tuple(dims)
+        return self.counter.dims(alpha, self.terms)
 
     def hochster_check(self) -> HochsterReport:
         """Compare multiplicity factors with restriction homology degree by degree.

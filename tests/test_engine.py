@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 import pytest
@@ -19,6 +20,9 @@ from toric_cohomology import (
 from util import polygon_model, polygon_rays
 
 ALL_MODELS = ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3")
+# the engine's summation and the fan route, each on a given engine
+ROUTES = (lambda eng: eng.cohomology, lambda eng: eng.oracle.cohomology_via_fan)
+ROUTE_IDS = ("engine", "fan")
 
 
 def p1_dims(m):
@@ -55,6 +59,11 @@ class TestCohomology:
     def test_wrong_class_length(self, p2):
         with pytest.raises(ValueError, match="entries"):
             cohomology(p2, (0, 0))
+
+    @pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
+    def test_class_length_checked_on_both_routes(self, p2, route):
+        with pytest.raises(ValueError, match="divisor class needs 1 entries, got 2"):
+            route(CohomologyEngine(p2))((1, 2))
 
     def test_breakdown_sums_to_dims(self, p1xp1):
         rng = random.Random(3)
@@ -118,6 +127,17 @@ class TestNonFinite:
             with pytest.raises(NonFiniteCohomologyError, match="non-finite"):
                 cohomology(m, (alpha,))
 
+    @pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
+    def test_both_routes_raise_with_one_text(self, route):
+        # the two routes reach different infinite fibers (011 and 100)
+        with pytest.raises(NonFiniteCohomologyError) as info:
+            route(CohomologyEngine(truncated_p2()))((0,))
+        assert re.fullmatch(
+            r"non-finite cohomology: infinite neg-group at degree [01]{3} "
+            r"with nonzero multiplicity \(input fan likely not complete\)",
+            str(info.value),
+        )
+
     def test_class_outside_charge_lattice_is_zero(self):
         # charges 2,2,2: odd classes have no monomials at all, so the
         # infinite neg-groups of the truncated fan never meet them
@@ -157,6 +177,15 @@ def test_breakdown_lists_the_nonzero_factor_degrees():
     result = cohomology(model, (1, 1, 0, -1))
     assert "breakdown" not in vars(result)  # built when read, not by the engine
     assert [entry.degree for entry in result.breakdown] == nonzero
+
+
+def test_count_memo_keeps_only_fibers_the_kill_mask_leaves():
+    # dP3 at (1, 1, 1, -1): the kill mask empties 33 of the 34 fibers
+    eng = CohomologyEngine(load_bundled("dP3"))
+    result = eng.cohomology((1, 1, 1, -1))
+    assert len(eng.counter._counts) == 1
+    assert len(result.breakdown) == 34
+    assert sum(1 for entry in result.breakdown if entry.count.value) == 1
 
 
 def test_results_of_separate_engines_compare_equal():
