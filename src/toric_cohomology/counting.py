@@ -39,7 +39,7 @@ from typing import Dict, Iterator, Sequence
 
 from ._bits import bitstring
 from .errors import NonFiniteCohomologyError
-from .exact_linalg import DiagonalizedSystem
+from .exact_linalg import DiagonalizedSystem, echelon
 from .lp import simplex_maximize  # noqa: F401  no caller here; bench/spans.py wraps this name
 from .model import DivisorClass, ToricVarietyModel
 
@@ -90,25 +90,6 @@ def _fm_eliminate(rows, var):
     return list(cleaned)
 
 
-def _reduced_rows(rows):
-    """Integer rows with the same solution space in reduced echelon form, zero rows dropped.
-
-    Each pivot column is nonzero in its own row only.
-    """
-    pending, done = [list(r) for r in rows], []
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in pending if r[col]), None)
-        if piv is None:
-            continue
-        pending.remove(piv)
-        for part in (pending, done):
-            for i, r in enumerate(part):
-                if r[col]:
-                    part[i] = _primitive([piv[col] * x - r[col] * y for x, y in zip(r, piv)])
-        done.append(piv)
-    return done
-
-
 def _primitive(v):
     """v divided by the gcd of its entries."""
     g = math.gcd(*v) or 1
@@ -120,23 +101,23 @@ def _circuits(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     integer t != 0 with sum_i t_i vectors_i = 0, in both orientations.
 
     The conditions, one per coordinate of the vectors, are first brought to
-    reduced echelon form.  Then, from the unit vectors, one row at a time:
-    the circuits of the space L so far that satisfy the row stay, and each
+    echelon form (`exact_linalg.echelon`): independent rows with the same
+    solutions.  Then, from the unit vectors, one row at a time: the
+    circuits of the space L so far that satisfy the row stay, and each
     pair that does not gives the combination cancelling it.  Every circuit
     of L cut by the row's hyperplane H arises so, because the part of L
     supported on it has dimension at most 2, and the support-minimal
-    candidates are exactly the circuits of L and H.  After k rows a circuit
-    has at most k + 1 entries, which discards most pairs unbuilt.  In
-    reduced echelon order the pivots of the rows to come are still free, so
-    no intermediate list outgrows the final one by more than the rank.
+    candidates are exactly the circuits of L and H.  After k independent
+    rows a circuit has at most k + 1 entries, which discards most pairs
+    unbuilt.
     """
     n = len(vectors)
-    rows = _reduced_rows(list(zip(*vectors)))
+    rows = echelon(list(zip(*vectors)))
     found = {1 << i: tuple(int(i == j) for j in range(n)) for i in range(n)}  # support -> vector
     for k, h in enumerate(rows, 2):
         keep, cut = {}, []
         for supp, v in found.items():
-            a = sum(x * y for x, y in zip(v, h))
+            a = sum(v[i] * x for i, x in h.items())
             if a:
                 cut.append((supp, v, a))
             else:

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: fraction-free ranks, column reduction, lattice solving.
+"""Exact integer linear algebra: sparse row echelon form, column reduction, lattice solving.
 
 Everything operates on plain Python ints (arbitrary precision), so there is
 no overflow and no floating point anywhere.
@@ -6,38 +6,53 @@ no overflow and no floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for i in range(rank + 1, nrows):
-            f = m[i][col]
-            row_i, row_r = m[i], m[rank]
-            for j in range(col, ncols):
-                row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
+def echelon(rows: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """`rows` in echelon form over Q: primitive {column: entry} rows, at most one per leading
+    column, in the order they were kept.  Ranks and circuit conditions both read it.
+
+    Each row is reduced against the kept row at its leading column until
+    that column is free, then kept there with its content divided out; a
+    row that reduces to zero is dropped.  The reduction stops once the
+    kept rows fill the columns.
+    """
+    kept: dict[int, dict[int, int]] = {}
+    ncols = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(kept) == ncols:
             break
-    return rank
+        r = {j: x for j, x in enumerate(row) if x}
+        while r:
+            lead = min(r)
+            p = kept.get(lead)
+            if p is None:
+                if r[lead] not in (1, -1):  # a unit lead leaves content 1
+                    g = math.gcd(*r.values())
+                    r = {j: x // g for j, x in r.items()}
+                kept[lead] = r
+                break
+            a, b = p[lead], r.pop(lead)
+            s = abs(a) // math.gcd(a, b)  # s * r - q * p cancels the lead
+            if s > 1:
+                r = {j: s * x for j, x in r.items()}
+            q = s * b // a
+            for j, x in p.items():
+                if j != lead:
+                    v = r.get(j, 0) - q * x
+                    if v:
+                        r[j] = v
+                    else:
+                        del r[j]
+    return list(kept.values())
+
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix: the number of rows of its echelon form."""
+    return len(echelon(rows))
 
 
 def _swap_columns(m: list[list[int]], j: int, k: int) -> None:

@@ -9,7 +9,13 @@ worker.  Both are installed in a subprocess, because the wrappers patch the
 package for the rest of the interpreter's life.  The script also runs a
 checked box with the lap clock on, so a per-class timer that stops firing
 (its entry point no longer called where `wrap_class` patched it) shows up
-as a missing class span.
+as a missing class span.  A lapped name that still exists but is no
+longer called merges laps just as silently, so the script also counts
+the calls per lapped name during one dP3 class with the fan-route check
+(P2 is not enough: its one-generator factors never reach
+`reduced_homology`).  Three lapped names have no caller in `src/` and
+never fire: `counting.recession_test`, `lp._eliminate_basis` and
+`lp._pivot`.
 """
 
 import json
@@ -27,13 +33,23 @@ import io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import spans, worker
 
-missing = []
+missing, calls = [], {}
 wrap = worker.LapClock.wrap
 
 def recording_wrap(self, owner, attr):
+    name = f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}"
     if getattr(owner, attr, None) is None:
-        missing.append(f"{owner.__name__}.{attr}")
-    return wrap(self, owner, attr)
+        missing.append(name)
+    wrap(self, owner, attr)
+    fn = getattr(owner, attr, None)
+    if fn is not None:
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        setattr(owner, attr, counted)
 
 worker.LapClock.wrap = recording_wrap
 clock = worker.LapClock()
@@ -51,14 +67,19 @@ report["box_code"], _, report["box_err"] = worker.cli_call(
     cli, [sys.argv[3], "--box=0..2", "--oracle-check", "--serre-check"])
 report["class_spans"] = sorted(
     [case, list(alpha), len(outer)] for (case, alpha), outer in clock.class_spans.items())
+calls = dict.fromkeys(calls, 0)  # count the dP3 run only
+report["dP3_code"], _, report["dP3_err"] = worker.cli_call(
+    cli, [sys.argv[4], "--class=0,0,0,0", "--oracle-check", "--format=json"])
+report["calls"] = calls
 print(json.dumps(report))
 """
 
 
 def test_bench_hooks_find_their_names():
-    model = SRC / "toric_cohomology" / "data" / "P2.json"
+    data = SRC / "toric_cohomology" / "data"
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(REPO / "bench"), str(SRC), str(model)],
+        [sys.executable, "-c", SCRIPT, str(REPO / "bench"), str(SRC),
+         str(data / "P2.json"), str(data / "dP3.json")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -78,3 +99,9 @@ def test_bench_hooks_find_their_names():
     # cohomology calls are nested in it)
     assert report["box_code"] == 0, report["box_err"]
     assert report["class_spans"] == [["", [a], 3] for a in range(3)]
+    # every lapped name on the per-class and set-up paths is called
+    assert report["dP3_code"] == 0, report["dP3_err"]
+    fired = {name for name, n in report["calls"].items() if n}
+    assert {"cli.load_variety", "cli.result_to_json", "engine.scan_powerset",
+            "multiplicity.reduced_homology", "oracle.reduced_homology",
+            "counting._first_var_range"} <= fired, report["calls"]

@@ -21,6 +21,7 @@ from toric_cohomology.counting import (
     format_rationom,
 )
 from toric_cohomology.engine import counter_for
+from toric_cohomology.exact_linalg import echelon
 from toric_cohomology.model import parse_variety
 
 from util import (
@@ -153,6 +154,11 @@ class TestCircuits:
             vectors = [tuple(rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(m)) for _ in range(n)]
             if rng.random() < 0.2 and n > 1:
                 vectors[1] = tuple(2 * x for x in vectors[0])  # a parallel pair
+            if rng.random() < 0.3 and m > 1:
+                # the last coordinate a combination of the others: one condition drops
+                c = [rng.choice([1, -1, 2, 0]) for _ in range(m - 1)]
+                vectors = [v[:-1] + (sum(x * y for x, y in zip(c, v)),) for v in vectors]
+                assert len(echelon(list(zip(*vectors)))) < m
             got = _circuits(vectors)
             assert len(set(got)) == len(got) and sorted(got) == oriented(*got[::2])
             for t in got:

@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from toric_cohomology.exact_linalg import DiagonalizedSystem, integer_rank
+from toric_cohomology.exact_linalg import DiagonalizedSystem, echelon, integer_rank
 from toric_cohomology.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_maximize
 
 from util import fraction_rank
@@ -13,12 +14,43 @@ def random_matrix(rng, nr, nc, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)]
 
 
+def sparse_matrix(rng):
+    """Up to 12 x 12, about 70% zeros, entries up to +-10^6, with zero and repeated rows."""
+    nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+    bound = rng.choice((1, 6, 10 ** 6))
+    m = [[rng.randint(-bound, bound) if rng.random() < 0.3 else 0 for _ in range(nc)]
+         for _ in range(nr)]
+    for i in range(1, nr):
+        if rng.random() < 0.15:
+            m[i] = [0] * nc
+        elif rng.random() < 0.2:
+            m[i] = [rng.choice((1, -2)) * x for x in m[rng.randrange(i)]]
+    return m
+
+
 def test_integer_rank_matches_rational_elimination():
     rng = random.Random(7)
     for _ in range(200):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, nr, nc)
         assert integer_rank(m) == fraction_rank(m)
+    for _ in range(300):
+        m = sparse_matrix(rng)
+        assert integer_rank(m) == fraction_rank(m), m
+
+
+def test_echelon_rows_are_primitive_with_distinct_leads():
+    rng = random.Random(19)
+    for _ in range(200):
+        m = sparse_matrix(rng)
+        rows = echelon(m)
+        leads = [min(r) for r in rows]
+        assert len(set(leads)) == len(leads)
+        for r in rows:
+            assert all(r.values()) and math.gcd(*r.values()) == 1
+        # the kept rows lie in the row space of the input
+        dense = [[r.get(j, 0) for j in range(len(m[0]))] for r in rows]
+        assert fraction_rank(m + dense) == fraction_rank(m)
 
 
 def test_rank_edge_cases():

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -104,6 +106,15 @@ class TestReducedHomology:
         for n in range(2, 6):
             boundary = FaceSet(n, frozenset(range((1 << n) - 1)))
             assert reduced_homology(boundary) == {n - 2: 1}
+
+    @pytest.mark.parametrize("m, k", [(11, 4), (11, 5)])
+    def test_skeleton_at_the_face_bound(self, m, k):
+        # the subsets of size <= k of an m-set (562 and 1,024 faces) have
+        # reduced homology only in degree k-1, of rank C(m-1, k)
+        skeleton = FaceSet(m, frozenset(f for f in range(1 << m) if f.bit_count() <= k))
+        start = time.perf_counter()
+        assert reduced_homology(skeleton) == {k - 1: math.comb(m - 1, k)}
+        assert time.perf_counter() - start < 1.0
 
     def test_projected_boundary_failure_detected(self):
         # d(e_01) projects to -e_0, whose boundary -e_{} survives: d*d != 0

@@ -1,12 +1,12 @@
 """Independent naive oracles used by the test suite.
 
 Everything here deliberately avoids the optimized code paths it is used to
-check: dense rational boundary matrices instead of the fraction-free route,
-full powerset loops and the paper's exact-degree complexes instead of the
-lcm-lattice closure and Hochster's formula, bounding-box searches instead
-of polytope walks, the exact simplex and Fourier-Motzkin elimination
-instead of circuits.  It also holds the simplicial operations only the
-tests use: explicit face lists, the link and the Alexander dual.
+check: dense Fraction elimination instead of the sparse integer echelon
+form, full powerset loops and the paper's exact-degree complexes instead
+of the lcm-lattice closure and Hochster's formula, bounding-box searches
+instead of polytope walks, the exact simplex and Fourier-Motzkin
+elimination instead of circuits.  It also holds the simplicial operations
+only the tests use: explicit face lists, the link and the Alexander dual.
 """
 
 from __future__ import annotations
