@@ -11,21 +11,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-def echelon(rows: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+def echelon(rows: Sequence[Sequence[int] | dict[int, int]]) -> list[dict[int, int]]:
     """`rows` in echelon form over Q: primitive {column: entry} rows, at most one per leading
     column, in the order they were kept.  Ranks and circuit conditions both read it.
 
-    Each row is reduced against the kept row at its leading column until
-    that column is free, then kept there with its content divided out; a
-    row that reduces to zero is dropped.  The reduction stops once the
-    kept rows fill the columns.
+    A row is either a dense list of entries or a sparse {column: nonzero
+    entry} map.  Each row is reduced against the kept row at its leading
+    column until that column is free, then kept there with its content
+    divided out; a row that reduces to zero is dropped.
     """
     kept: dict[int, dict[int, int]] = {}
-    ncols = len(rows[0]) if rows else 0
     for row in rows:
-        if len(kept) == ncols:
-            break
-        r = {j: x for j, x in enumerate(row) if x}
+        r = dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x}
         while r:
             lead = min(r)
             p = kept.get(lead)
@@ -50,7 +47,7 @@ def echelon(rows: Sequence[Sequence[int]]) -> list[dict[int, int]]:
     return list(kept.values())
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+def integer_rank(rows: Sequence[Sequence[int] | dict[int, int]]) -> int:
     """Rank over Q of an integer matrix: the number of rows of its echelon form."""
     return len(echelon(rows))
 

@@ -2,9 +2,12 @@
 
 A :class:`FaceSet` is a finite collection of vertex subsets.  The complex
 operations the package uses (restriction and reduced homology) require it
-to be closed under taking subsets, and raise ValueError otherwise.  The
-link and the Alexander dual, which only the tests use, are reference
-helpers in tests/util.py.
+to be closed under taking subsets, and raise ValueError otherwise; a
+restriction is closed by construction and records so.  Reduced homology
+answers a cone (a vertex v with f | v a face for every face f) as acyclic
+at once; otherwise it takes ranks of sparse boundary rows.  The link and
+the Alexander dual, which only the tests use, are reference helpers in
+tests/util.py.
 
 Conventions: a face with k vertices lives in chain degree k-1; the empty
 face, when present, spans degree -1.  A FaceSet with no faces at all
@@ -62,27 +65,36 @@ def _require_closed(delta: FaceSet, op: str) -> None:
         raise ValueError(f"{op} requires a subset-closed complex")
 
 
-def _reindex(mask: int, ambient: int) -> int:
-    """Compress a face mask into the coordinates of `ambient` (ascending)."""
-    out = 0
-    for pos, i in enumerate(bits(ambient)):
-        if mask >> i & 1:
-            out |= 1 << pos
-    return out
-
-
 def restrict(delta: FaceSet, sigma: int) -> FaceSet:
-    """Faces of `delta` contained in `sigma`, re-indexed to sigma's vertices."""
+    """Faces of `delta` contained in `sigma`, re-indexed to sigma's vertices.
+
+    The result of a closed complex is closed, and is recorded as such.
+    """
     _require_closed(delta, "restrict")
-    faces = frozenset(_reindex(f, sigma) for f in delta.faces if f & ~sigma == 0)
-    return FaceSet(bin(sigma).count("1"), faces)
+    place = {1 << i: 1 << k for k, i in enumerate(bits(sigma))}  # old bit -> new bit
+    outside, faces = ~sigma, set()
+    for f in delta.faces:
+        if not f & outside:
+            g = 0
+            while f:
+                low = f & -f
+                g |= place[low]
+                f ^= low
+            faces.add(g)
+    result = FaceSet(len(place), frozenset(faces))
+    result.__dict__["is_subset_closed"] = True
+    return result
 
 
 def reduced_homology(delta: FaceSet) -> Dict[int, int]:
     """Dimensions of rational reduced homology, as a sparse {degree: dim} map."""
     _require_closed(delta, "reduced_homology")
+    faces = delta.faces
+    # a cone (some vertex v with f | v a face for every face f) is acyclic
+    if any(all(f | 1 << v in faces for f in faces) for v in range(delta.vertex_count)):
+        return {}
     by_degree: Dict[int, list[int]] = {}
-    for f in delta.faces:
+    for f in faces:
         by_degree.setdefault(bin(f).count("1") - 1, []).append(f)
 
     ranks: Dict[int, int] = {}
@@ -91,12 +103,10 @@ def reduced_homology(delta: FaceSet) -> Dict[int, int]:
         if not targets:
             continue
         index = {f: k for k, f in enumerate(targets)}
-        rows = []
-        for f in flist:
-            row = [0] * len(targets)
-            for s, i in enumerate(bits(f)):
-                row[index[f ^ (1 << i)]] = 1 if s % 2 == 0 else -1
-            rows.append(row)
+        rows = [
+            {index[f ^ (1 << i)]: (-1) ** s for s, i in enumerate(bits(f))}
+            for f in flist
+        ]
         ranks[j] = integer_rank(rows)
 
     dims = {}

@@ -68,9 +68,18 @@ report["box_code"], _, report["box_err"] = worker.cli_call(
 report["class_spans"] = sorted(
     [case, list(alpha), len(outer)] for (case, alpha), outer in clock.class_spans.items())
 calls = dict.fromkeys(calls, 0)  # count the dP3 run only
+first = len(tracer.spans)
 report["dP3_code"], _, report["dP3_err"] = worker.cli_call(
     cli, [sys.argv[4], "--class=0,0,0,0", "--oracle-check", "--format=json"])
 report["calls"] = calls
+under_oracle = set()  # spans of the dP3 run nested in the fan route's homology
+for s in tracer.spans[first:]:
+    p = s[2]
+    while p >= 0 and tracer.spans[p][0] != "oracle.restriction_homology":
+        p = tracer.spans[p][2]
+    if p >= 0:
+        under_oracle.add(s[0])
+report["under_oracle"] = sorted(under_oracle)
 print(json.dumps(report))
 """
 
@@ -105,3 +114,8 @@ def test_bench_hooks_find_their_names():
     assert {"cli.load_variety", "cli.result_to_json", "engine.scan_powerset",
             "multiplicity.reduced_homology", "oracle.reduced_homology",
             "counting._first_var_range"} <= fired, report["calls"]
+    # the fan route's restrictions and their ranks still reach the traced
+    # names that `oracle.restrictions` and `exact_linalg.rank_s` read
+    # (`oracle.restrict` and `simplicial.integer_rank`): cones skip the
+    # ranks, but dP3's full restriction is a circle
+    assert {"simplicial.restrict", "exact_linalg.integer_rank"} <= set(report["under_oracle"])

@@ -28,15 +28,28 @@ def sparse_matrix(rng):
     return m
 
 
+def as_maps(m):
+    """The rows of `m` as sparse {column: nonzero entry} maps."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
 def test_integer_rank_matches_rational_elimination():
     rng = random.Random(7)
     for _ in range(200):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, nr, nc)
-        assert integer_rank(m) == fraction_rank(m)
+        assert integer_rank(m) == integer_rank(as_maps(m)) == fraction_rank(m)
     for _ in range(300):
         m = sparse_matrix(rng)
-        assert integer_rank(m) == fraction_rank(m), m
+        assert integer_rank(m) == integer_rank(as_maps(m)) == fraction_rank(m), m
+
+
+def test_sparse_rows_past_the_first_rows_length():
+    # the first row has one nonzero but the rank is 3: nothing may stop
+    # the reduction once the kept rows number the first row's entries
+    rows = [{5: 1}, {0: 2, 3: -1}, {1: 1, 5: 4}, {0: 4, 3: -2}]
+    assert integer_rank(rows) == 3
+    assert integer_rank([[1, 0], [0, 1], [1, 1], [0, 0]]) == 2
 
 
 def test_echelon_rows_are_primitive_with_distinct_leads():
@@ -44,6 +57,7 @@ def test_echelon_rows_are_primitive_with_distinct_leads():
     for _ in range(200):
         m = sparse_matrix(rng)
         rows = echelon(m)
+        assert echelon(as_maps(m)) == rows
         leads = [min(r) for r in rows]
         assert len(set(leads)) == len(leads)
         for r in rows:

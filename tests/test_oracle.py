@@ -87,6 +87,26 @@ class TestFanRoute:
                 )
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_p1_power_terms_in_closed_form(k):
+    # the fan complex of P1^k is the join of k two-point complexes; its
+    # restriction to a complement is a cone unless that complement takes
+    # each pair whole or not at all, and then it is a (k - p - 1)-sphere,
+    # p the number of pairs in sigma, which weighs h^p with 1
+    p1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
+    m = p1
+    for _ in range(k - 1):
+        m = product_model(p1, m)
+    engine = CohomologyEngine(m)
+    expected = []
+    for pairs in range(1 << k):
+        sigma = sum(0b11 << 2 * i for i in range(k) if pairs >> i & 1)
+        p = pairs.bit_count()
+        expected.append((sigma, tuple(int(i == p) for i in range(k + 1))))
+    assert sorted(FanOracle(engine).terms) == expected
+    assert "table" not in vars(engine)
+
+
 def truncated_p2():
     cones = (0b011, 0b101)
     gens = tuple(sr_from_max_cones(cones, 3))

@@ -4,10 +4,11 @@ import time
 
 import pytest
 
-from toric_cohomology import FaceSet, reduced_homology, restrict
+from toric_cohomology import FaceSet, reduced_homology, restrict, simplicial
 from toric_cohomology._bits import complement
 
 from util import (
+    _reindex,
     alexander_dual,
     all_complexes,
     faceset,
@@ -17,6 +18,13 @@ from util import (
     projected_homology,
     random_complex,
 )
+
+
+def cone(delta, v):
+    """The cone over `delta` with a new apex vertex at position `v`."""
+    low = (1 << v) - 1
+    shifted = {f & low | (f & ~low) << 1 for f in delta.faces}
+    return FaceSet(delta.vertex_count + 1, frozenset(shifted | {f | 1 << v for f in shifted}))
 
 
 def triangle_boundary():
@@ -50,6 +58,15 @@ class TestRestrict:
         delta.__dict__["is_subset_closed"] = False  # the cached verdict decides
         with pytest.raises(ValueError, match="subset-closed"):
             restrict(delta, 0b101)
+
+    def test_result_is_recorded_closed(self):
+        rng = random.Random(37)
+        for _ in range(50):
+            n = rng.randint(1, 7)
+            d, sigma = random_complex(n, rng), rng.randrange(1 << n)
+            r = restrict(d, sigma)
+            assert r.faces == {_reindex(f, sigma) for f in d.faces if f & ~sigma == 0}
+            assert r.is_subset_closed == FaceSet(r.vertex_count, r.faces).is_subset_closed
 
 
 class TestLink:
@@ -126,11 +143,38 @@ class TestReducedHomology:
             with pytest.raises(ValueError, match="subset-closed"):
                 reduced_homology(FaceSet(2, frozenset(faces)))
 
+    @pytest.mark.parametrize("delta, dims", [
+        (FaceSet(0, frozenset()), {}),
+        (FaceSet(3, frozenset({0})), {-1: 1}),
+        (faceset(1, (), (0,)), {}),
+        (faceset(2, (), (0,), (1,)), {0: 1}),
+        (faceset(3, (), (0,), (1,), (2,), (0, 1)), {0: 1}),
+    ])
+    def test_edge_cases_keep_their_answers(self, delta, dims):
+        assert reduced_homology(delta) == dims == projected_homology(delta.faces)
+
+    def test_cones_are_acyclic(self, monkeypatch):
+        monkeypatch.delattr(simplicial, "integer_rank")  # a cone takes no ranks
+        rng = random.Random(31)
+        for _ in range(100):
+            n = rng.randint(0, 6)
+            d = cone(random_complex(n, rng) if n else FaceSet(0, frozenset({0})),
+                     rng.randint(0, n))
+            assert reduced_homology(d) == {} == projected_homology(d.faces)
+
     def test_against_naive_rational_oracle(self):
         rng = random.Random(5)
-        for _ in range(150):
-            d = random_complex(rng.randint(1, 7), rng)
-            assert reduced_homology(d) == projected_homology(d.faces)
+        complexes = [random_complex(rng.randint(1, 7), rng) for _ in range(150)]
+        # few generators make mostly cones, so add complexes that are not:
+        # simplex boundaries and Alexander duals
+        complexes += [FaceSet(n, frozenset(range((1 << n) - 1))) for n in range(1, 8)]
+        complexes += [alexander_dual(d) for d in complexes[:150]]
+        nonzero = 0
+        for d in complexes:
+            dims = reduced_homology(d)
+            assert dims == projected_homology(d.faces)
+            nonzero += bool(dims)
+        assert nonzero > 60
 
 
 class TestAlexanderDuality:
@@ -140,6 +184,7 @@ class TestAlexanderDuality:
         star = alexander_dual(d)
         hd = reduced_homology(d)
         hs = reduced_homology(star)
+        assert hs == projected_homology(star.faces)
         for i in range(-1, n + 1):
             assert hs.get(i, 0) == hd.get(n - 3 - i, 0), (d, i)
 

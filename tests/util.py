@@ -19,7 +19,7 @@ from toric_cohomology.counting import _fm_eliminate
 from toric_cohomology.exact_linalg import DiagonalizedSystem
 from toric_cohomology.lp import OPTIMAL, UNBOUNDED, simplex_maximize
 from toric_cohomology.model import ToricVarietyModel, sr_from_max_cones
-from toric_cohomology.simplicial import FaceSet, _reindex, _require_closed
+from toric_cohomology.simplicial import FaceSet, _require_closed
 
 
 def mask_of(indices) -> int:
@@ -41,6 +41,15 @@ def full_simplex(vertex_count: int) -> FaceSet:
 
 def vertex_sets(delta: FaceSet) -> list[tuple[int, ...]]:
     return sorted(tuple(bits(f)) for f in delta.faces)
+
+
+def _reindex(mask: int, ambient: int) -> int:
+    """Compress a face mask into the coordinates of `ambient` (ascending)."""
+    out = 0
+    for pos, i in enumerate(bits(ambient)):
+        if mask >> i & 1:
+            out |= 1 << pos
+    return out
 
 
 def link(delta: FaceSet, sigma: int) -> FaceSet:
