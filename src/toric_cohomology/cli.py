@@ -15,6 +15,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -27,6 +28,8 @@ from .model import ToricVarietyModel, load_variety
 from .oracle import oracle_for
 
 RATIONOM_LISTING_LIMIT = 50
+# buffered rows take about 1.6 KiB per class, so a box stays under about 1.7 GiB
+MAX_BOX_CLASSES = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +99,9 @@ def parse_box_spec(spec: str, k: int) -> list[tuple[int, ...]]:
         ranges.append(range(lo_i, hi_i + 1))
     if len(ranges) != k:
         raise ModelError(f"box has {len(ranges)} ranges, expected {k}")
+    count = math.prod(len(r) for r in ranges)
+    if count > MAX_BOX_CLASSES:
+        raise ModelError(f"box has {count} classes, more than {MAX_BOX_CLASSES}")
     return list(itertools.product(*ranges))
 
 

@@ -11,45 +11,44 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._bits import bits, complement, mask_from_1based, to_1based
 from .errors import ModelError
 from .exact_linalg import integer_rank
+from .srscan import MAX_DEGREES
 
 MAX_VERTICES = 63
 
 DivisorClass = tuple[int, ...]
 
 
-def _minimalize(masks: Iterable[int]) -> list[int]:
-    """Drop any support containing another support; deduplicate."""
-    unique = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
-    kept: list[int] = []
-    for m in unique:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return sorted(kept)
-
-
 def sr_from_max_cones(max_cones: Sequence[int], n: int) -> list[int]:
     """Minimal Stanley-Reisner generator supports from the maximal cones.
 
-    The irrelevant ideal is generated by the monomials on the complements of
-    the maximal cones; its Alexander dual (the intersection of the matching
-    monomial prime ideals, taken by pairwise lcm closure and minimalization)
-    is the Stanley-Reisner ideal.  The result is exactly the set of minimal
-    non-faces of the fan complex.
+    The Stanley-Reisner ideal is the Alexander dual of the irrelevant ideal,
+    whose generators are the complements of the maximal cones: its generators
+    are the minimal sets meeting every complement, the minimal non-faces of
+    the fan complex.  Berge's step builds them one complement C at a time,
+    from [0]: a set that meets C stays, a set that misses C grows by each
+    vertex of C, and a grown set containing a kept set is dropped.  A grown
+    set has one vertex in C, the one it grew by, so a grown set inside
+    another would put one set of the previous step inside another: grown
+    sets need no check among themselves.  Raises ModelError once the list
+    (the minimal non-faces of the cones so far) passes MAX_DEGREES: t
+    generators span at least t + 1 degrees, which the scan refuses past it.
     """
     if not max_cones:
         raise ModelError("empty maximal cone list")
-    comps = [complement(c, n) for c in max_cones]
-    if any(c == 0 for c in comps):
-        return []  # the fan complex is the full simplex: no non-faces
-    current = [1 << i for i in bits(comps[0])]
-    for comp in comps[1:]:
-        current = _minimalize(g | (1 << i) for g in current for i in bits(comp))
-    return current
+    gens = [0]
+    for cone in max_cones:
+        comp = complement(cone, n)
+        kept = [g for g in gens if g & comp]
+        grown = (g | 1 << i for g in gens if not g & comp for i in bits(comp))
+        gens = kept + [h for h in grown if not any(k & h == k for k in kept)]
+        if len(gens) > MAX_DEGREES:
+            raise ModelError(f"max_cones: the Stanley-Reisner derivation passed {MAX_DEGREES} sets")
+    return sorted(gens)
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,8 @@ class ToricVarietyModel:
             raise ModelError(f"at most {MAX_VERTICES} coordinates supported, got {n}")
         if len(set(self.coordinate_names)) != n:
             raise ModelError("duplicate coordinate names")
+        if not _is_int(self.dim):
+            raise ModelError("dimension must be an integer")
         # a complete fan of dimension d >= 1 has at least d + 1 rays
         if not 0 <= self.dim < n:
             raise ModelError(f"dimension {self.dim} out of range 0..{n - 1} for {n} coordinates")
@@ -108,7 +109,7 @@ class ToricVarietyModel:
         for row in self.charges:
             if len(row) != k:
                 raise ModelError(f"charge rows must have n-d = {k} entries")
-            if not all(isinstance(x, int) for x in row):
+            if not all(_is_int(x) for x in row):
                 raise ModelError("non-integer charge entry")
         if integer_rank(self.charges) != k:
             raise ModelError(f"charge matrix must have rank n-d = {k}")
@@ -198,8 +199,6 @@ def parse_variety(text: str) -> ToricVarietyModel:
     max_cones_doc = doc.get("max_cones")
     if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
         raise ModelError("coordinates must be a list of strings")
-    if not _is_int(dim):
-        raise ModelError("dimension must be an integer")
     for key, value in (("charges", charges), ("sr_ideal", sr_ideal), ("max_cones", max_cones_doc)):
         if value is not None and not _is_int_lists(value):
             raise ModelError(f"{key}: not a list of lists, or a non-integer entry")

@@ -17,6 +17,8 @@ import toric_cohomology
 from toric_cohomology.cli import build_parser, main, parse_box_spec, parse_class_spec, run
 from toric_cohomology.errors import ModelError
 
+from util import k_pairs_doc
+
 DATA = resources.files("toric_cohomology") / "data"
 REPO = Path(__file__).resolve().parents[1]
 
@@ -164,6 +166,21 @@ class TestErrorPaths:
     def test_bad_box(self, p2_path):
         code, _, err = invoke([p2_path, "--box", "5..1"])
         assert code == 1 and "exceeds" in err
+
+    def test_huge_box(self, p1xp1_path):
+        start = time.perf_counter()
+        code, out, err = invoke([p1xp1_path, "--box=-30000..30000,-30000..30000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == "error: box has 3600120001 classes, more than 1048576\n"
+
+    def test_cones_only_document_over_the_bound(self, tmp_path):
+        path = tmp_path / "pairs17.json"
+        path.write_text(json.dumps(k_pairs_doc(17)))
+        code, out, err = invoke([str(path), "--class=0,0"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: max_cones: ") and "65536" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 USAGE = "usage: toric-cohomology"

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from toric_cohomology import (
 )
 from toric_cohomology import model as model_module
 
-from util import mask_of
+from util import k_pairs_doc, mask_of, minimal_nonfaces
 
 P2_DOC = {
     "coordinates": ["x1", "x2", "x3"],
@@ -103,7 +104,8 @@ class TestParse:
             parse_variety(json.dumps(doc))
 
     def test_dimension_must_not_be_a_bool(self):
-        doc = dict(P2_DOC, coordinates=["x1", "x2"], charges=[[1], [1]], dimension=True)
+        doc = dict(P2_DOC, coordinates=["x1", "x2"], charges=[[1], [1]], dimension=True,
+                   sr_ideal=[[1, 2]])
         with pytest.raises(ModelError, match="dimension"):
             parse_variety(json.dumps(doc))
 
@@ -165,8 +167,43 @@ class TestSrFromMaxCones:
             for g in gens:
                 assert all(g & c != g for c in cones)
 
+    def test_matches_brute_force_minimal_nonfaces(self):
+        rng = random.Random(17)
+        for case in range(300):
+            n = rng.randint(1, 8)
+            # any masks: non-pure, nested and repeated cones all occur
+            cones = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+            if case % 5 == 0:
+                cones.append(rng.choice(cones))
+            if case % 7 == 0:
+                cones.append(rng.choice(cones) & rng.getrandbits(n))
+            if case % 11 == 0:
+                cones.append((1 << n) - 1)
+            assert sr_from_max_cones(cones, n) == minimal_nonfaces(cones, n), (cones, n)
+
+    def test_k_pairs_derive_quickly(self):
+        start = time.perf_counter()
+        m = parse_variety(json.dumps(k_pairs_doc(13)))
+        assert m.t == 1 << 13 and time.perf_counter() - start < 1.0
+        assert all(bin(g).count("1") == 13 for g in m.sr_generators)
+
+    def test_k_pairs_over_the_bound(self):
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match="passed 65536"):
+            parse_variety(json.dumps(k_pairs_doc(17)))
+        assert time.perf_counter() - start < 2.0
+
 
 class TestValidationInvariants:
+    @pytest.mark.parametrize("dim, charges, message", [
+        (2.0, ((1,), (1,), (1,)), "dimension must be an integer"),
+        (True, ((1, 0),) * 3, "dimension must be an integer"),
+        (2, ((1,), (True,), (1,)), "non-integer charge entry"),
+    ], ids=["float-dimension", "bool-dimension", "bool-charge"])
+    def test_constructor_needs_integers(self, dim, charges, message):
+        with pytest.raises(ModelError, match=message):
+            ToricVarietyModel(("x1", "x2", "x3"), dim, charges, max_cones=(0b011, 0b101, 0b110))
+
     def test_cone_containing_generator_rejected(self):
         with pytest.raises(ModelError):
             ToricVarietyModel(

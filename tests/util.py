@@ -228,6 +228,29 @@ def contributing_degrees(degree_set) -> list[int]:
     return sorted(deg for deg in degree_set.entries if full ^ deg in degree_set.entries)
 
 
+def minimal_nonfaces(cones, n) -> list[int]:
+    """The subsets of [n] in no cone whose every one-smaller subset is in one."""
+    def is_face(s):
+        return any(s & c == s for c in cones)
+    return [
+        s for s in range(1 << n)
+        if not is_face(s) and all(is_face(s ^ 1 << i) for i in bits(s))
+    ]
+
+
+def k_pairs_doc(k: int) -> dict:
+    """A cones-only document on n = 2k coordinates whose cone complements are
+    the k disjoint pairs {2i+1, 2i+2}: its 2^k generators take one vertex of
+    each pair."""
+    n = 2 * k
+    return {
+        "coordinates": [f"x{i + 1}" for i in range(n)],
+        "dimension": n - 2,
+        "charges": [[1, i % 2] for i in range(n)],
+        "max_cones": [[j + 1 for j in range(n) if j // 2 != i] for i in range(k)],
+    }
+
+
 def polygon_rays(gaps):
     """Rays of a complete smooth fan: P2's, blown up once per entry of `gaps`.
 
