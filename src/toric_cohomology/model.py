@@ -116,19 +116,20 @@ class ToricVarietyModel:
 
         full = (1 << n) - 1
         gens, cones = self.sr_generators or (), self.max_cones
+        if len(gens) > MAX_DEGREES:
+            raise ModelError(f"{len(gens)} Stanley-Reisner generators, more than {MAX_DEGREES}")
         for g in gens:
             if g == 0:
                 raise ModelError("empty Stanley-Reisner generator support")
             if g & ~full:
                 raise ModelError("Stanley-Reisner generator outside coordinate range")
         if cones is None:
-            for i, g in enumerate(gens):
-                for h in gens[i + 1:]:
-                    if g & h == g or g & h == h:
-                        raise ModelError(
-                            "non-minimal generating set: "
-                            f"{set(to_1based(g))} vs {set(to_1based(h))}"
-                        )
+            pair = _contained_pair(gens)
+            if pair:
+                g, h = pair
+                raise ModelError(
+                    f"non-minimal generating set: {set(to_1based(g))} vs {set(to_1based(h))}"
+                )
             return
 
         for c in cones:
@@ -153,6 +154,26 @@ class ToricVarietyModel:
                 "Stanley-Reisner generators inconsistent with maximal cones: "
                 f"derived {[set(to_1based(g)) for g in derived]}"
             )
+
+
+def _contained_pair(gens: Sequence[int]) -> tuple[int, int] | None:
+    """Some g, h of the sorted `gens` with g inside h (g first), or None.
+
+    Only an equal or a smaller set fits inside h.  Equal sets are neighbours
+    in the sorted list, so h is compared with the strictly smaller ones only.
+    """
+    for g, h in zip(gens, gens[1:]):
+        if g == h:
+            return g, h
+    by_size = sorted(gens, key=int.bit_count)
+    smaller: list[int] = []
+    for i, h in enumerate(by_size):
+        if i and h.bit_count() > by_size[i - 1].bit_count():
+            smaller = by_size[:i]
+        for g in smaller:
+            if g & h == g:
+                return g, h
+    return None
 
 
 def canonical_class(model: ToricVarietyModel) -> DivisorClass:

@@ -2,9 +2,14 @@
 
 Weights neg-group counts by reduced homology of restrictions of the fan
 complex over all coordinate subsets, bypassing the Stanley-Reisner lcm
-lattice entirely.  Also provides the Hochster cross-check tying the
-multiplicity factors to restriction homology, including the vanishing
-assertions for degrees outside the scanned degree set.
+lattice entirely.  One sweep visits the 2^n subsets, each after its
+parent (itself plus one vertex).  A subset that keeps the cone apex of its
+parent's restriction is a cone too, so it is acyclic without being
+restricted; only the others are restricted, and only those that are not
+cones are ranked (P1^5: 94 and 32 of 1,024).  Also provides the Hochster
+cross-check tying the multiplicity factors to restriction homology,
+including the vanishing assertions for degrees outside the scanned degree
+set.
 
 A `FanOracle` is built on one engine (`CohomologyEngine.oracle`).  Only
 its weights (`terms`) are its own: the engine's counter sums them with
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Sequence
 
-from ._bits import bitstring, complement
+from ._bits import bits, bitstring, complement
 from .engine import CohomologyEngine, engine_for
 from .engine import counter_for  # noqa: F401  no caller here; bench/spans.py wraps this name
 from .errors import ModelError
@@ -56,34 +61,75 @@ class FanOracle:
         if isinstance(engine, ToricVarietyModel):  # bench/make_refs.py passes a bare model
             engine = CohomologyEngine(engine)
         model = engine.model
-        # the bound comes first: the closure below has up to 2^n faces
+        # the bound comes first: the closure below has up to 2^n faces, and
+        # the sweep of `terms` keeps one byte per subset
         if model.n > MAX_SCAN_VERTICES:
             raise ModelError(
-                f"fan-route scan needs 2^n subsets; n={model.n} exceeds {MAX_SCAN_VERTICES}"
+                "the fan route sweeps all 2^n coordinate subsets; "
+                f"n={model.n} exceeds {MAX_SCAN_VERTICES}"
             )
         self.engine = engine
         self.model = model
         self.complex = fan_complex(model)
         self.counter = engine.counter
+        # non-acyclic restrictions only; after the sweep every other subset is acyclic
         self._homology: Dict[int, Dict[int, int]] = {}
+        self._apex: Dict[int, int] = {}  # restrictions found to be cones -> their apex
+        self._swept = False
 
     def restriction_homology(self, sigma: int) -> Dict[int, int]:
-        """Reduced homology dims of the fan complex restricted to `sigma`."""
-        if sigma not in self._homology:
-            self._homology[sigma] = reduced_homology(restrict(self.complex, sigma))
-        return self._homology[sigma]
+        """Reduced homology dims of the fan complex restricted to `sigma`.
+
+        A restriction that is a cone records its apex (a vertex of sigma)
+        in `_apex`, for the sweep of `terms` to hand down.
+        """
+        hom = self._homology.get(sigma)
+        if hom is not None or self._swept or sigma in self._apex:
+            return hom or {}
+        delta = restrict(self.complex, sigma)
+        if delta.cone_apex >= 0:
+            self._apex[sigma] = list(bits(sigma))[delta.cone_apex]
+            return {}
+        hom = reduced_homology(delta)
+        if hom:
+            self._homology[sigma] = hom
+        return hom
+
+    def _sweep(self) -> None:
+        """Restriction homology of every subset, each parent before its children.
+
+        A subset's parent adds back its lowest missing vertex, so it is
+        larger and comes first in decreasing order.  If the parent's
+        restriction is a cone with apex a, so is that of a child keeping a:
+        for a face f of the child, f | a is a face of the parent inside the
+        child.  Such a child is acyclic and takes no restriction; the others
+        go through `restriction_homology`, whose cone test finds the apex
+        that their own children inherit.
+        """
+        full = (1 << self.model.n) - 1
+        apex = bytearray(full + 1)  # apex + 1 per subset, 0 if none
+        for sigma in range(full, -1, -1):
+            a = apex[(sigma | sigma + 1) & full] - 1  # the full set reads its own 0
+            if a < 0 or not sigma >> a & 1:
+                self.restriction_homology(sigma)
+                a = self._apex.get(sigma, -1)
+            apex[sigma] = a + 1
+        self._swept = True
 
     @cached_property
     def terms(self) -> list[tuple[int, tuple[int, ...]]]:
-        """(sigma, weights into h^0..h^d) for every subset with nonzero weights."""
+        """(sigma, weights into h^0..h^d) for every subset with nonzero weights.
+
+        Sigma's weights are read from the restriction to its complement.
+        """
+        self._sweep()
         n, d = self.model.n, self.model.dim
         terms = []
-        for sigma in range(1 << n):
-            hom = self.restriction_homology(complement(sigma, n))
+        for rest, hom in self._homology.items():
             weights = tuple(hom.get(d - i - 1, 0) for i in range(d + 1))
             if any(weights):
-                terms.append((sigma, weights))
-        return terms
+                terms.append((complement(rest, n), weights))
+        return sorted(terms)
 
     def cohomology_via_fan(self, alpha: DivisorClass) -> tuple[int, ...]:
         """h^0..h^d by the collected local-cohomology formula over all subsets."""

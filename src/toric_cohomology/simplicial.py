@@ -3,11 +3,13 @@
 A :class:`FaceSet` is a finite collection of vertex subsets.  The complex
 operations the package uses (restriction and reduced homology) require it
 to be closed under taking subsets, and raise ValueError otherwise; a
-restriction is closed by construction and records so.  Reduced homology
-answers a cone (a vertex v with f | v a face for every face f) as acyclic
-at once; otherwise it takes ranks of sparse boundary rows.  The link and
-the Alexander dual, which only the tests use, are reference helpers in
-tests/util.py.
+restriction is closed by construction and records so, and skips the range
+check of its faces.  A complex finds its cone apex (a vertex v with f | v
+a face for every face f) once and keeps it: reduced homology answers a
+cone as acyclic at once, and the fan route hands the apex down to the
+subsets that keep it.  Otherwise homology takes ranks of sparse boundary
+rows.  The link and the Alexander dual, which only the tests use, are
+reference helpers in tests/util.py.
 
 Conventions: a face with k vertices lives in chain degree k-1; the empty
 face, when present, spans degree -1.  A FaceSet with no faces at all
@@ -59,6 +61,19 @@ class FaceSet:
         """Whether every subset of a face is a face; checked once per FaceSet."""
         return all(f & ~(1 << i) in self.faces for f in self.faces for i in bits(f))
 
+    @cached_property
+    def cone_apex(self) -> int:
+        """The lowest vertex v with f | v a face for every face f, or -1.
+
+        A complex with such a vertex is a cone over it, hence acyclic.
+        """
+        faces = self.faces
+        for v in range(self.vertex_count):
+            bit = 1 << v
+            if all(f | bit in faces for f in faces):
+                return v
+        return -1
+
 
 def _require_closed(delta: FaceSet, op: str) -> None:
     if not delta.is_subset_closed:
@@ -68,7 +83,8 @@ def _require_closed(delta: FaceSet, op: str) -> None:
 def restrict(delta: FaceSet, sigma: int) -> FaceSet:
     """Faces of `delta` contained in `sigma`, re-indexed to sigma's vertices.
 
-    The result of a closed complex is closed, and is recorded as such.
+    The result of a closed complex is closed, and is recorded as such; its
+    faces lie in range by construction, so they are not checked again.
     """
     _require_closed(delta, "restrict")
     place = {1 << i: 1 << k for k, i in enumerate(bits(sigma))}  # old bit -> new bit
@@ -81,20 +97,18 @@ def restrict(delta: FaceSet, sigma: int) -> FaceSet:
                 g |= place[low]
                 f ^= low
             faces.add(g)
-    result = FaceSet(len(place), frozenset(faces))
-    result.__dict__["is_subset_closed"] = True
+    result = object.__new__(FaceSet)
+    result.__dict__.update(vertex_count=len(place), faces=frozenset(faces), is_subset_closed=True)
     return result
 
 
 def reduced_homology(delta: FaceSet) -> Dict[int, int]:
     """Dimensions of rational reduced homology, as a sparse {degree: dim} map."""
     _require_closed(delta, "reduced_homology")
-    faces = delta.faces
-    # a cone (some vertex v with f | v a face for every face f) is acyclic
-    if any(all(f | 1 << v in faces for f in faces) for v in range(delta.vertex_count)):
+    if delta.cone_apex >= 0:
         return {}
     by_degree: Dict[int, list[int]] = {}
-    for f in faces:
+    for f in delta.faces:
         by_degree.setdefault(bin(f).count("1") - 1, []).append(f)
 
     ranks: Dict[int, int] = {}

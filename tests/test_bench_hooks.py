@@ -15,7 +15,10 @@ the calls per lapped name during one dP3 class with the fan-route check
 (P2 is not enough: its one-generator factors never reach
 `reduced_homology`).  Three lapped names have no caller in `src/` and
 never fire: `counting.recession_test`, `lp._eliminate_basis` and
-`lp._pivot`.
+`lp._pivot`.  A last run takes oracle_check's P1^5 box through the fan
+route, whose sweep restricts and ranks only some subsets: those must
+still reach `FanOracle.restriction_homology`, `oracle.restrict` and
+`oracle.reduced_homology`.
 """
 
 import json
@@ -80,15 +83,29 @@ for s in tracer.spans[first:]:
     if p >= 0:
         under_oracle.add(s[0])
 report["under_oracle"] = sorted(under_oracle)
+
+# the fan route's sweep on oracle_check's P1^5 box: restrictions and ranks
+# still go through the wrapped names, fewer of them than subsets
+from functools import reduce
+import models
+with open(sys.argv[5], "w") as fh:
+    json.dump(reduce(models.product_doc, [models.p1_doc()] * 5), fh)
+calls = dict.fromkeys(calls, 0)
+first, restrictions = len(tracer.spans), tracer.counts["oracle.restrictions"]
+report["p15_code"], _, report["p15_err"] = worker.cli_call(
+    cli, [sys.argv[5], "--box=0..2,0..2,0..2,0..1,0..1", "--oracle-check"])
+report["p15_calls"] = calls
+report["p15_restrictions"] = tracer.counts["oracle.restrictions"] - restrictions
+report["p15_spans"] = sorted({s[0] for s in tracer.spans[first:]})
 print(json.dumps(report))
 """
 
 
-def test_bench_hooks_find_their_names():
+def test_bench_hooks_find_their_names(tmp_path):
     data = SRC / "toric_cohomology" / "data"
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(REPO / "bench"), str(SRC),
-         str(data / "P2.json"), str(data / "dP3.json")],
+         str(data / "P2.json"), str(data / "dP3.json"), str(tmp_path / "P1^5.json")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -119,3 +136,10 @@ def test_bench_hooks_find_their_names():
     # (`oracle.restrict` and `simplicial.integer_rank`): cones skip the
     # ranks, but dP3's full restriction is a circle
     assert {"simplicial.restrict", "exact_linalg.integer_rank"} <= set(report["under_oracle"])
+    # on P1^5 the sweep restricts 94 of its 1,024 subsets and ranks 32 of
+    # them; each still reaches the lapped and traced names
+    assert report["p15_code"] == 0, report["p15_err"]
+    assert report["p15_calls"]["oracle.reduced_homology"] == 32, report["p15_calls"]
+    assert report["p15_restrictions"] == 94
+    assert {"oracle.restriction_homology", "simplicial.restrict",
+            "simplicial.reduced_homology"} <= set(report["p15_spans"])

@@ -1,0 +1,74 @@
+"""Checked families beyond smooth surfaces and products.
+
+Weighted projective spaces put both routes on complete fans whose cones are
+not unimodular: h^0 of O(k) counts the monomials of weighted degree k, h^top
+those of degree -k - sum(w) (Serre duality), and every other h^i vanishes.
+On smooth complete polygon fans, Riemann-Roch gives the Euler
+characteristic from the intersection form.
+"""
+
+import random
+
+import pytest
+
+from toric_cohomology import CohomologyEngine, ToricVarietyModel
+
+from util import charge_image, polygon_model, polygon_rays, series_count
+
+WEIGHTS = [(1, 1, 2), (1, 2, 3), (1, 1, 1, 3), (2, 3, 5), (1, 2, 2, 3), (1, 3, 4, 5)]
+
+
+def weighted_projective(weights):
+    """P(w): one charge row of weights, every n-1 of the n rays span a cone."""
+    n = len(weights)
+    full = (1 << n) - 1
+    return ToricVarietyModel(
+        tuple(f"x{i + 1}" for i in range(n)), n - 1, tuple((w,) for w in weights),
+        (full,), tuple(full ^ 1 << i for i in range(n)),
+    )
+
+
+@pytest.mark.parametrize("weights", WEIGHTS, ids=lambda w: "P" + "".join(map(str, w)))
+def test_weighted_projective_space(weights):
+    engine = CohomologyEngine(weighted_projective(weights))
+    top = len(weights) - 1
+    for k in range(-sum(weights) - 12, 15):
+        dims = engine.cohomology((k,)).dims
+        assert dims[0] == series_count(weights, k), k
+        assert dims[top] == series_count(weights, -k - sum(weights)), k
+        assert not any(dims[1:top]), k
+        assert engine.oracle.cohomology_via_fan((k,)) == dims, k
+        assert engine.serre_check((k,))[0], k
+
+
+def intersection_form(rays):
+    """D_i . D_j on a smooth complete fan in the plane, rays in cyclic order.
+
+    Neighbouring divisors meet once; D_i^2 = -a_i, where
+    v_(i-1) + v_(i+1) = a_i v_i.
+    """
+    n = len(rays)
+    form = [[0] * n for _ in range(n)]
+    for i, (x, y) in enumerate(rays):
+        s = [p + q for p, q in zip(rays[i - 1], rays[(i + 1) % n])]
+        a = s[0] // x if x else s[1] // y
+        assert s == [a * x, a * y]
+        form[i][i] = -a
+        form[i][(i + 1) % n] = form[(i + 1) % n][i] = 1
+    return form
+
+
+def test_riemann_roch_on_smooth_polygon_fans():
+    # chi(D) = 1 + (D^2 - D.K) / 2 with K = -sum D_i
+    rng = random.Random(67)
+    for _ in range(20):
+        rays = polygon_rays([rng.randrange(7) for _ in range(rng.randint(0, 4))])
+        model, form = polygon_model(rays), intersection_form(rays)
+        engine = CohomologyEngine(model)
+        n = len(rays)
+        for _ in range(6):
+            a = [rng.randint(-3, 3) for _ in range(n)]
+            da = [sum(form[i][j] * a[j] for j in range(n)) for i in range(n)]
+            square, dk = sum(x * y for x, y in zip(a, da)), -sum(da)
+            h = engine.cohomology(charge_image(model, a)).dims
+            assert 2 * (h[0] - h[1] + h[2]) == 2 + square - dk, (rays, a)

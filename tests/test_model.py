@@ -193,6 +193,38 @@ class TestSrFromMaxCones:
             parse_variety(json.dumps(k_pairs_doc(17)))
         assert time.perf_counter() - start < 2.0
 
+    def test_sr_only_k_pairs_parse_quickly(self):
+        # minimality compares a generator with strictly smaller ones only,
+        # and the 8,192 generators of k = 13 all have 13 vertices
+        k = 13
+        doc = {key: v for key, v in k_pairs_doc(k).items() if key != "max_cones"}
+        doc["sr_ideal"] = [[2 * i + 1 + (c >> i & 1) for i in range(k)] for c in range(1 << k)]
+        text = json.dumps(doc)
+        start = time.perf_counter()
+        m = parse_variety(text)
+        assert time.perf_counter() - start < 1.0
+        assert m.t == 1 << k and m.max_cones is None
+        # one smaller generator inside many of them is still named
+        doc["sr_ideal"].append([1, 3])
+        with pytest.raises(ModelError, match=r"non-minimal generating set: \{1, 3\} vs \{1, 3, "):
+            parse_variety(json.dumps(doc))
+
+    def test_contained_pair_matches_all_pairs(self):
+        rng = random.Random(43)
+        for _ in range(500):
+            gens = sorted(rng.randrange(1, 64) for _ in range(rng.randint(0, 8)))
+            pair = model_module._contained_pair(gens)
+            found = any(g & h == g for i, g in enumerate(gens) for h in gens[i + 1:])
+            assert (pair is not None) == found, gens
+            if pair:
+                g, h = pair
+                assert g & h == g and gens.count(g) >= 1 + (g == h), gens
+
+    def test_generator_list_over_the_bound(self):
+        # refused before any per-generator check, in one line
+        with pytest.raises(ModelError, match="^65537 Stanley-Reisner generators, more than 65536$"):
+            ToricVarietyModel(("x1", "x2", "x3"), 2, ((1,), (1,), (1,)), (0b111,) * 65537)
+
 
 class TestValidationInvariants:
     @pytest.mark.parametrize("dim, charges, message", [

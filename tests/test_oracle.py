@@ -17,13 +17,37 @@ from toric_cohomology import (
     oracle_for,
     sr_from_max_cones,
 )
+from toric_cohomology import FaceSet, reduced_homology, restrict
 from toric_cohomology import engine as engine_module
+from toric_cohomology import oracle as oracle_module
+from toric_cohomology._bits import bits
 from toric_cohomology.engine import counter_for
-from toric_cohomology.oracle import HOCHSTER_SAMPLE
+from toric_cohomology.oracle import HOCHSTER_SAMPLE, MAX_SCAN_VERTICES
 
-from util import product_model, vertex_sets
+from util import (
+    fan_terms,
+    polygon_model,
+    polygon_rays,
+    product_model,
+    random_complex,
+    vertex_sets,
+)
 
 ALL_MODELS = ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3")
+
+P1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
+
+
+def p1_power(k):
+    m = P1
+    for _ in range(k - 1):
+        m = product_model(P1, m)
+    return m
+
+
+def polygon(n):
+    return polygon_model(polygon_rays([2 * s for s in range(n - 3)]))
+
 
 
 @pytest.fixture(scope="module")
@@ -93,11 +117,7 @@ def test_p1_power_terms_in_closed_form(k):
     # restriction to a complement is a cone unless that complement takes
     # each pair whole or not at all, and then it is a (k - p - 1)-sphere,
     # p the number of pairs in sigma, which weighs h^p with 1
-    p1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
-    m = p1
-    for _ in range(k - 1):
-        m = product_model(p1, m)
-    engine = CohomologyEngine(m)
+    engine = CohomologyEngine(p1_power(k))
     expected = []
     for pairs in range(1 << k):
         sigma = sum(0b11 << 2 * i for i in range(k) if pairs >> i & 1)
@@ -105,6 +125,124 @@ def test_p1_power_terms_in_closed_form(k):
         expected.append((sigma, tuple(int(i == p) for i in range(k + 1))))
     assert sorted(FanOracle(engine).terms) == expected
     assert "table" not in vars(engine)
+
+
+class TestSweep:
+    """`FanOracle.terms` sweeps the subsets; `fan_terms` is the plain 2^n loop."""
+
+    def test_bundled_models(self):
+        for name in ALL_MODELS:
+            m = load_bundled(name)
+            assert FanOracle(m).terms == fan_terms(m), name
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_polygon_fans(self, n):
+        m = polygon(n)
+        assert FanOracle(m).terms == fan_terms(m)
+
+    def test_p1_powers_and_products(self):
+        models = [p1_power(k) for k in range(1, 7)]
+        models += [product_model(load_bundled(a), load_bundled(b))
+                   for a, b in (("P2", "F1"), ("dP3", "P2"), ("F1", "P1xP1"))]
+        models.append(product_model(polygon(7), P1))
+        for m in models:
+            assert FanOracle(m).terms == fan_terms(m), m.n
+
+    def test_random_incomplete_cone_subsets(self):
+        rng = random.Random(59)
+        bases = [load_bundled(name) for name in ALL_MODELS]
+        bases += [polygon(8), p1_power(4), product_model(load_bundled("P2"), P1)]
+        for _ in range(60):
+            base = rng.choice(bases)
+            cones = tuple(sorted(rng.sample(base.max_cones, rng.randint(1, len(base.max_cones)))))
+            m = ToricVarietyModel(base.coordinate_names, base.dim, base.charges,
+                                  tuple(sr_from_max_cones(cones, base.n)), cones)
+            assert FanOracle(m).terms == fan_terms(m), cones
+
+    def test_apex_lemma_on_random_complexes(self):
+        # a restriction that is a cone over a keeps that apex in every
+        # restriction to a smaller subset containing a
+        rng = random.Random(61)
+        cones = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            delta, sigma = random_complex(n, rng), rng.randrange(1 << n)
+            apex = restrict(delta, sigma).cone_apex
+            if apex < 0:
+                continue
+            cones += 1
+            a = list(bits(sigma))[apex]
+            for v in bits(sigma & ~(1 << a)):
+                child = sigma & ~(1 << v)
+                faces = {f for f in delta.faces if not f & ~child}
+                assert all(f | 1 << a in faces for f in faces), (delta, sigma, v)
+        assert cones > 50
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"restrict": 0, "reduced_homology": 0, "cone_apex": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("restrict", "reduced_homology"):
+            monkeypatch.setattr(oracle_module, name, counting(name, getattr(oracle_module, name)))
+        apex = FaceSet.cone_apex
+        monkeypatch.setattr(apex, "func", counting("cone_apex", apex.func))
+        return calls
+
+    def test_p1_five_restricts_94_subsets_and_ranks_32(self, monkeypatch):
+        m = p1_power(5)
+        calls = self.counted(monkeypatch)
+        terms = FanOracle(m).terms
+        # the 32 restrictions taking each pair whole or not at all are
+        # spheres, the terms; the other 62 restricted subsets are cones whose
+        # parent hands down no apex they keep, and 930 subsets are not restricted
+        assert len(terms) == 32
+        assert calls == {"restrict": 94, "reduced_homology": 32, "cone_apex": 94}
+
+    def test_twelve_gon_does_no_more_than_the_loop(self, monkeypatch):
+        # almost no restriction of a 12-cycle is a cone: the sweep restricts
+        # nearly every subset, with one cone test each
+        m = polygon(12)
+        calls = self.counted(monkeypatch)
+        FanOracle(m).terms
+        assert calls["cone_apex"] == calls["restrict"] <= 1 << m.n
+        assert calls["reduced_homology"] <= calls["restrict"]
+
+    def test_swept_memo_answers_every_subset(self):
+        # non-acyclic restrictions are stored, the others read as acyclic
+        m = load_bundled("dP3")
+        oracle = FanOracle(m)
+        oracle.terms
+        delta = fan_complex(m)
+        assert all(hom for hom in oracle._homology.values())
+        for sigma in range(1 << m.n):
+            assert oracle.restriction_homology(sigma) == reduced_homology(restrict(delta, sigma))
+
+    def test_hochster_reports_equal_before_and_after_the_sweep(self):
+        for m in [load_bundled(name) for name in ALL_MODELS] + [p1_power(4)]:
+            fresh = FanOracle(m).hochster_check()
+            swept = FanOracle(m)
+            swept.terms
+            after = swept.hochster_check()
+            assert (after.checked, after.vanishing_checked, after.mismatches) == (
+                fresh.checked, fresh.vanishing_checked, fresh.mismatches)
+            # and a sweep after the check reads the check's memo correctly
+            first = FanOracle(m)
+            first.hochster_check()
+            assert first.terms == fan_terms(m)
+
+    def test_bound(self):
+        n = MAX_SCAN_VERTICES + 1
+        full = (1 << n) - 1
+        projective = ToricVarietyModel(tuple(f"x{i}" for i in range(n)), n - 1, ((1,),) * n,
+                                       (full,), tuple(full ^ 1 << i for i in range(n)))
+        with pytest.raises(ModelError, match=r"sweeps all 2\^n coordinate subsets; n=21 exceeds 20"):
+            FanOracle(CohomologyEngine(projective))
 
 
 def truncated_p2():
@@ -135,8 +273,7 @@ class TestHochster:
 
     def test_sampling_is_deterministic(self):
         # P1^4 has 240 degrees outside its 16-degree lattice, more than the sample
-        p1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
-        m = product_model(p1, load_bundled("P1xP1xP1"))
+        m = product_model(P1, load_bundled("P1xP1xP1"))
         a, b = FanOracle(CohomologyEngine(m)), FanOracle(CohomologyEngine(m))
         ra, rb = a.hochster_check(), b.hochster_check()
         assert ra.vanishing_checked == rb.vanishing_checked == HOCHSTER_SAMPLE

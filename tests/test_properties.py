@@ -20,6 +20,7 @@ from toric_cohomology.oracle import FanOracle
 from util import (
     _recedes,
     charge_image,
+    fan_terms,
     fiber_verdict,
     fm_fiber_verdict,
     neg_mask,
@@ -59,6 +60,7 @@ def test_polygon_fans(gaps, divisors):
     rays = polygon_rays(gaps)
     model = polygon_model(rays)
     engine, oracle = CohomologyEngine(model), FanOracle(CohomologyEngine(model))
+    assert oracle.terms == fan_terms(model)
     for a in divisors:
         a = a[:model.n]
         alpha = charge_image(model, a)

@@ -162,6 +162,20 @@ class TestReducedHomology:
                      rng.randint(0, n))
             assert reduced_homology(d) == {} == projected_homology(d.faces)
 
+    def test_cone_apex_is_the_lowest_apex(self):
+        rng = random.Random(47)
+        cones = 0
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            d = random_complex(n, rng) if n else FaceSet(0, frozenset({0}))
+            if rng.random() < 0.5:
+                d = cone(d, rng.randint(0, n))
+            apexes = [v for v in range(d.vertex_count)
+                      if all(f | 1 << v in d.faces for f in d.faces)]
+            assert d.cone_apex == (apexes[0] if apexes else -1)
+            cones += bool(apexes)
+        assert 60 < cones < 200
+
     def test_against_naive_rational_oracle(self):
         rng = random.Random(5)
         complexes = [random_complex(rng.randint(1, 7), rng) for _ in range(150)]

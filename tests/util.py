@@ -19,7 +19,8 @@ from toric_cohomology.counting import _fm_eliminate
 from toric_cohomology.exact_linalg import DiagonalizedSystem
 from toric_cohomology.lp import OPTIMAL, UNBOUNDED, simplex_maximize
 from toric_cohomology.model import ToricVarietyModel, sr_from_max_cones
-from toric_cohomology.simplicial import FaceSet, _require_closed
+from toric_cohomology.oracle import fan_complex
+from toric_cohomology.simplicial import FaceSet, _require_closed, reduced_homology, restrict
 
 
 def mask_of(indices) -> int:
@@ -132,6 +133,25 @@ def all_complexes(n: int):
 
     rec(0, set())
     return [FaceSet(n, faces) for faces in out]
+
+
+def fan_terms(model) -> list[tuple[int, tuple[int, ...]]]:
+    """The fan route's (sigma, weights) terms by the plain 2^n loop.
+
+    Each sigma is weighted by the reduced homology of the fan complex
+    restricted to its complement, every restriction taken from the full
+    complex and every one ranked unless it is a cone; `FanOracle.terms`
+    sweeps the subsets instead and hands cone apexes down.
+    """
+    n, d = model.n, model.dim
+    delta = fan_complex(model)
+    terms = []
+    for sigma in range(1 << n):
+        hom = reduced_homology(restrict(delta, complement(sigma, n)))
+        weights = tuple(hom.get(d - i - 1, 0) for i in range(d + 1))
+        if any(weights):
+            terms.append((sigma, weights))
+    return terms
 
 
 def random_complex(n: int, rng, max_gens: int = 4) -> FaceSet:
