@@ -22,8 +22,11 @@ range of the last is floor(min of upper lines) - ceil(max of lower lines)
 
 A `NegGroupCounter` holds one model's kernel basis, its circuits and its
 memos: recession and fit mask per sigma, base point and kill mask per
-class, count per (class, sigma).  `dims` sums count * weights over the
-(sigma, weights) terms the engine or the fan oracle passes it.  Its owner
+class, count per (class, sigma), and the surviving terms per (term list,
+kill mask).  `dims` sums count * weights over the (sigma, weights) terms
+the engine or the fan oracle passes it, but only over those whose fiber
+the class's kill mask does not empty; that list is built once per term
+list and kill mask and shared by every class with that mask.  Its owner
 is the model's `engine.CohomologyEngine`; `engine.counter_for` and the
 `neg_group_count` / `enumerate_neg_group` helpers reach it there.
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Dict, Iterator, Sequence
 
 from ._bits import bitstring
@@ -77,14 +81,13 @@ def _fm_eliminate(rows, var):
         ap = cp[var]
         for cn, rn in neg:
             an = -cn[var]
-            co = tuple(an * x + ap * y for x, y in zip(cp, cn))
-            out.append((co, an * rp + ap * rn))
+            out.append((tuple([an * x + ap * y for x, y in zip(cp, cn)]), an * rp + ap * rn))
     # dedupe, in order, and reduce by content where exact
     cleaned = {}
     for co, rhs in out:
         g = math.gcd(*co)
         if g > 1 and rhs % g == 0:
-            co = tuple(x // g for x in co)
+            co = tuple([x // g for x in co])
             rhs //= g
         cleaned[co, rhs] = None
     return list(cleaned)
@@ -158,7 +161,7 @@ def _first_var_range(rows, prefix):
     lo = hi = None
     for co, rhs in rows:
         a = co[k]
-        r = rhs - sum(c * v for c, v in zip(co, prefix))
+        r = rhs - sum(map(mul, co, prefix)) if prefix else rhs
         if a > 0:
             b = r // a
             if hi is None or b < hi:
@@ -264,7 +267,7 @@ def _count_last_two(rows, prefix, lo, hi) -> int:
     upper, lower = [], []
     for co, rhs in rows:
         a, b = co[k], co[k + 1]
-        c = rhs - sum(x * y for x, y in zip(co, prefix))
+        c = rhs - sum(map(mul, co, prefix)) if prefix else rhs
         if b:
             (upper if b > 0 else lower).append((-a, c, abs(b)))
     return _sum_floor_min(upper, lo, hi) + _sum_floor_min(lower, lo, hi) + hi - lo + 1
@@ -311,6 +314,9 @@ class NegGroupCounter:
         self._fit: Dict[int, int] = {}
         self._base: Dict[DivisorClass, tuple[list[int] | None, int]] = {}
         self._counts: Dict[tuple[DivisorClass, int], CountResult] = {}
+        # id(terms) -> (terms, {kill mask: the terms it leaves alive}); the
+        # entry holds the list, so its id is not reused while the entry stands
+        self._alive: Dict[int, tuple[list, Dict[int, list]]] = {}
 
     @cached_property
     def _kernel_circuits(self):
@@ -355,7 +361,7 @@ class NegGroupCounter:
             u0, kill = self._system.solve(list(alpha)), 0
             if u0 is not None:
                 for j, (t, pos, neg) in enumerate(self._kernel_circuits[0]):
-                    dot = sum(x * y for x, y in zip(t, u0))
+                    dot = sum(map(mul, t, u0))
                     if dot + pos > 0:
                         kill |= 1 << 2 * j
                     if neg - dot > 0:
@@ -413,12 +419,26 @@ class NegGroupCounter:
             self._counts[key] = result
         return result
 
+    def _alive_terms(self, terms, kill: int) -> list:
+        """The (sigma, weights) of `terms` whose fiber the kill mask leaves
+        possibly nonempty, built once per (term list, kill mask)."""
+        entry = self._alive.get(id(terms))
+        if entry is None:
+            entry = self._alive[id(terms)] = (terms, {})
+        alive = entry[1].get(kill)
+        if alive is None:
+            fit = self._fit_mask
+            alive = entry[1][kill] = [term for term in terms if not kill & fit(term[0])]
+        return alive
+
     def dims(self, alpha: DivisorClass, terms) -> tuple[int, ...]:
         """h^0..h^d of alpha: count(alpha, sigma) * weights summed over `terms`.
 
-        A sigma the class's kill mask empties is skipped before `count`, so
-        it leaves no memo entry.  An infinite count raises
-        `NonFiniteCohomologyError`.
+        Only the terms the class's kill mask leaves alive are counted, so a
+        sigma it empties leaves no memo entry.  That list is built once per
+        term list and kill mask and shared by every class with the mask;
+        `terms` must not change after its first use.  An infinite count
+        raises `NonFiniteCohomologyError`.
         """
         alpha = tuple(alpha)
         model = self.model
@@ -428,9 +448,7 @@ class NegGroupCounter:
         u0, kill = self._class(alpha)
         if u0 is None:  # alpha is not in the charge lattice: every count is 0
             return tuple(dims)
-        for sigma, weights in terms:
-            if kill & self._fit_mask(sigma):
-                continue
+        for sigma, weights in self._alive_terms(terms, kill):
             count = self.count(alpha, sigma)
             if count.is_infinite:
                 raise NonFiniteCohomologyError(

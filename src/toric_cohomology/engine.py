@@ -11,10 +11,12 @@ surfaces as a hard error instead of being silently dropped.
 The engine only sums, through `NegGroupCounter.dims`, the one loop that
 turns counts into an h-vector.  `terms` feeds it (degree, weights into
 h^0..h^d), built and range-checked once per model; the fan oracle feeds
-it its own.  A `CohomologyResult` keeps its engine and lists the
-per-degree `breakdown` the first time it is read, from the engine's
-factor table and memoized counts; nothing is built for a class whose
-breakdown nobody reads.
+it its own.  `dims` counts only the terms that the class's kill mask
+leaves alive, from a list kept per term list and kill mask, so classes
+that share a mask share the scan.  A `CohomologyResult` keeps its engine
+and lists the per-degree `breakdown` the first time it is read, from the
+engine's factor table and memoized counts; nothing is built for a class
+whose breakdown nobody reads.
 
 Per-model state has one owner.  A `CohomologyEngine` holds the model's
 degree scan, factor table and neg-group counter, and builds its

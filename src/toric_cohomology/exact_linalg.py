@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 
@@ -106,7 +107,7 @@ class DiagonalizedSystem:
         # forward substitution on L z = b; z is zero past the rank, x = V z
         z = [0] * self.ncols
         for row, bi, p in zip(self.echelon, b, self.pivots):
-            residual = bi - sum(c * zj for c, zj in zip(row, z))
+            residual = bi - sum(map(mul, row, z))
             if p is None:
                 if residual:
                     return None
@@ -114,7 +115,7 @@ class DiagonalizedSystem:
                 return None
             else:
                 z[p] = residual // row[p]
-        return [sum(vi * zi for vi, zi in zip(row, z)) for row in self.v]
+        return [sum(map(mul, row, z)) for row in self.v]
 
     def kernel_basis(self) -> list[list[int]]:
         """Lattice basis of the integer kernel of A (columns of V past the rank)."""

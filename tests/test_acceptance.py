@@ -19,7 +19,6 @@ from toric_cohomology import (
     hochster_check,
     load_bundled,
     reduced_homology,
-    sr_from_max_cones,
 )
 from toric_cohomology.engine import CohomologyEngine
 from toric_cohomology.oracle import FanOracle
@@ -32,6 +31,7 @@ from util import (
     polygon_rays,
     product_model,
     random_complex,
+    truncated_p2,
 )
 
 ALL_MODELS = ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3")
@@ -57,12 +57,6 @@ def p2_dims(m):
     h0 = math.comb(m + 2, 2) if m >= 0 else 0
     h2 = math.comb(-m - 1, 2) if m <= -3 else 0
     return (h0, 0, h2)
-
-
-def truncated_p2():
-    cones = (0b011, 0b101)
-    gens = tuple(sr_from_max_cones(cones, 3))
-    return ToricVarietyModel(("x1", "x2", "x3"), 2, ((1,), (1,), (1,)), gens, cones)
 
 
 def test_criterion_1_projective_plane_series(capsys):

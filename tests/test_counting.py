@@ -6,6 +6,7 @@ import random
 import pytest
 
 from toric_cohomology import (
+    NonFiniteCohomologyError,
     ToricVarietyModel,
     enumerate_neg_group,
     load_bundled,
@@ -15,23 +16,26 @@ from toric_cohomology import (
 from toric_cohomology.counting import (
     ZERO,
     _circuits,
+    _fm_eliminate,
     _floor_sum,
     _lattice_count,
     _lattice_points,
     format_rationom,
 )
-from toric_cohomology.engine import counter_for
+from toric_cohomology.engine import CohomologyEngine, counter_for
 from toric_cohomology.exact_linalg import echelon
 from toric_cohomology.model import parse_variety
 
 from util import (
     _recedes,
+    all_terms_dims,
     boxed_recession_test,
     brute_force_neg_group,
     charge_image,
     circuit_supports,
     cone_recession_test,
     fiber_verdict,
+    fm_eliminate,
     fm_fiber_verdict,
     mask_of,
     neg_mask,
@@ -40,6 +44,7 @@ from util import (
     product_model,
     series_count,
     signed_system,
+    truncated_p2,
 )
 
 RECEDING = {"coordinates": ["x1", "x2"], "dimension": 1,
@@ -243,6 +248,51 @@ class TestCounts:
             enumerate_neg_group(model, (2,), 0b00)
 
 
+class TestAliveTerms:
+    """`dims` sums only the terms a class's kill mask leaves alive; one pass over every term is the reference."""
+
+    MODELS = {name: load_bundled(name) for name in ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3")}
+    MODELS.update((f"{n}-gon", polygon_model(polygon_rays([0, 2, 4, 6, 1][:n - 3]))) for n in (4, 6, 8))
+    MODELS.update({"P1^4": product_model(P1, product_model(P1, load_bundled("P1xP1"))),
+                   "2F1": doubled(load_bundled("F1")),
+                   "2P2": doubled(load_bundled("P2"))})
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_dims_match_the_all_terms_loop(self, name):
+        model = self.MODELS[name]
+        rng = random.Random(name)
+        eng = CohomologyEngine(model)
+        off_lattice = 0
+        for _ in range(40):
+            alpha = tuple(rng.randint(-5, 5) for _ in range(model.num_classes))
+            off_lattice += eng.counter._class(alpha)[0] is None
+            for terms in (eng.terms, eng.oracle.terms):
+                assert eng.counter.dims(alpha, terms) == all_terms_dims(eng.counter, alpha, terms), alpha
+        # the doubled charges put about half the classes outside the lattice
+        assert off_lattice > 5 if name.startswith("2") else off_lattice == 0
+        # one list per kill mask met, for each of the two term lists
+        kills = {eng.counter._class(alpha)[1] for alpha in eng.counter._base if eng.counter._base[alpha][0]}
+        assert len(eng.counter._alive) == 2
+        assert all(set(masks) == kills for _, masks in eng.counter._alive.values())
+
+    @pytest.mark.parametrize("route", ["engine", "oracle"])
+    def test_non_finite_class_raises_the_same_message(self, route):
+        eng = CohomologyEngine(truncated_p2())
+        terms = eng.terms if route == "engine" else eng.oracle.terms
+        with pytest.raises(NonFiniteCohomologyError) as got:
+            eng.counter.dims((0,), terms)
+        with pytest.raises(NonFiniteCohomologyError) as expect:
+            all_terms_dims(eng.counter, (0,), terms)
+        assert str(got.value) == str(expect.value)
+
+    def test_short_lived_term_lists_each_get_their_own_answer(self, p2):
+        # each list is dropped after its call, so a later one can take its
+        # address; every call shares one kill mask and one alive sigma
+        counter = CohomologyEngine(p2).counter
+        for w in range(1, 20):
+            assert counter.dims((1,), [(0, (0, w, 0))]) == (0, 3 * w, 0)
+
+
 class TestEnumerate:
     def test_unique_point(self, p2):
         assert enumerate_neg_group(p2, (-3,), 0b111) == [(-1, -1, -1)]
@@ -333,7 +383,7 @@ class TestClosedFormCount:
         assert len(list(_lattice_points(rows, 2))) == expect
         assert _lattice_count(rows, 2) == expect
 
-    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
     def test_random_bounded_systems(self, nvars):
         rng = random.Random(17 + nvars)
         for _ in range(400):
@@ -343,11 +393,32 @@ class TestClosedFormCount:
                 bounds.append((lo, lo + rng.randint(-1, 9)))  # hi = lo - 1 is empty
             rows = box_rows(bounds)
             for _ in range(rng.randint(0, 5)):
-                co = tuple(rng.randint(-4, 4) for _ in range(nvars))
+                co = [rng.randint(-4, 4) for _ in range(nvars)]
+                if rng.random() < 0.3:  # free of the variable eliminated first
+                    co[-1] = 0
+                co = tuple(co)
                 rows.append((co, rng.randint(-12, 20)))
                 if rng.random() < 0.3:  # a parallel row
                     rows.append((co, rng.randint(-12, 20)))
+                if rng.random() < 0.2:  # a repeated row
+                    rows.append(rows[-1])
             assert _lattice_count(rows, nvars) == len(list(_lattice_points(rows, nvars))), rows
+
+    def test_fm_eliminate_matches_the_plain_rule(self):
+        rng = random.Random(23)
+        for _ in range(500):
+            nvars = rng.randint(1, 4)
+            rows = []
+            for _ in range(rng.randint(0, 8)):
+                co = [rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(nvars)]
+                scale = rng.choice((1, 1, 2, 3))  # rows with a common factor
+                rows.append((tuple(scale * x for x in co), rng.randint(-12, 12)))
+                if rng.random() < 0.2:
+                    rows.append(rows[-1])
+            var = rng.randrange(nvars)
+            got = _fm_eliminate(rows, var)
+            assert len(set(got)) == len(got)
+            assert set(got) == fm_eliminate(rows, var), (rows, var)
 
 
 def test_disjoint_union_classification(p2):

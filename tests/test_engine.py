@@ -17,7 +17,7 @@ from toric_cohomology import (
     sr_from_max_cones,
 )
 
-from util import polygon_model, polygon_rays
+from util import polygon_model, polygon_rays, truncated_p2
 
 ALL_MODELS = ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3")
 # the engine's summation and the fan route, each on a given engine
@@ -112,12 +112,6 @@ class TestSerre:
                 alpha = tuple(rng.randint(-3, 3) for _ in range(m.num_classes))
                 ok, report = serre_check(m, alpha)
                 assert ok, report
-
-
-def truncated_p2():
-    cones = (0b011, 0b101)  # one maximal cone removed
-    gens = tuple(sr_from_max_cones(cones, 3))
-    return ToricVarietyModel(("x1", "x2", "x3"), 2, ((1,), (1,), (1,)), gens, cones)
 
 
 class TestNonFinite:

@@ -139,6 +139,49 @@ def test_kernel_basis_is_a_lattice_basis():
     assert checked > 1000
 
 
+def unimodular_pair(rng, n):
+    """A random unimodular n x n matrix and its inverse, as products of column additions."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-3, 3)
+        for row in u:  # u <- u E with E = I + q e_i e_j^T: column j += q column i
+            row[j] += q * row[i]
+        inv[i] = [a - q * b for a, b in zip(inv[i], inv[j])]  # inv <- E^-1 inv
+    return u, inv
+
+
+def test_solve_against_smith_form_systems():
+    # A = U D W with U, W unimodular and D diagonal with non-unit entries:
+    # A x = U c has an integer solution iff d_i divides c_i below the rank
+    # of D and c_i = 0 past it
+    rng = random.Random(29)
+    outside = 0
+    for _ in range(300):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 5)
+        diag = [rng.choice((1, -1, 2, 3, -4, 6)) for _ in range(rng.randint(0, min(nr, nc)))]
+        d = [[diag[i] if i == j and i < len(diag) else 0 for j in range(nc)] for i in range(nr)]
+        u, u_inv = unimodular_pair(rng, nr)
+        w, _ = unimodular_pair(rng, nc)
+        a = mat_mul(mat_mul(u, d), w)
+        assert mat_mul(u, u_inv) == [[int(i == j) for j in range(nr)] for i in range(nr)]
+        sys = as_system(a)
+        for _ in range(6):
+            c = [diag[i] * rng.randint(-4, 4) if i < len(diag) else 0 for i in range(nr)]
+            if rng.random() < 0.5:
+                c[rng.randrange(nr)] += rng.randint(1, 3)
+            solvable = all(ci % di == 0 for ci, di in zip(c, diag)) and not any(c[len(diag):])
+            b = [sum(x * y for x, y in zip(row, c)) for row in u]
+            got = sys.solve(b)
+            if solvable:
+                assert got is not None and mat_mul(a, [[x] for x in got]) == [[x] for x in b], (a, b)
+            else:
+                assert got is None, (a, b)
+                outside += 1
+    assert outside > 300
+
+
 def test_integer_solve_detects_unsolvable():
     # 2x = 1 has no integer solution
     sys = DiagonalizedSystem(((2,),))

@@ -30,6 +30,7 @@ from util import (
     polygon_rays,
     product_model,
     random_complex,
+    truncated_p2,
     vertex_sets,
 )
 
@@ -243,12 +244,6 @@ class TestSweep:
                                        (full,), tuple(full ^ 1 << i for i in range(n)))
         with pytest.raises(ModelError, match=r"sweeps all 2\^n coordinate subsets; n=21 exceeds 20"):
             FanOracle(CohomologyEngine(projective))
-
-
-def truncated_p2():
-    cones = (0b011, 0b101)
-    gens = tuple(sr_from_max_cones(cones, 3))
-    return ToricVarietyModel(("x1", "x2", "x3"), 2, ((1,), (1,), (1,)), gens, cones)
 
 
 def test_truncated_fan_raises_on_fan_route():
