@@ -220,8 +220,9 @@ def parse_variety(text: str) -> ToricVarietyModel:
     max_cones_doc = doc.get("max_cones")
     if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
         raise ModelError("coordinates must be a list of strings")
+    # charges is required, so null is malformed; the other two may be null
     for key, value in (("charges", charges), ("sr_ideal", sr_ideal), ("max_cones", max_cones_doc)):
-        if value is not None and not _is_int_lists(value):
+        if (value is not None or key == "charges") and not _is_int_lists(value):
             raise ModelError(f"{key}: not a list of lists, or a non-integer entry")
     if sr_ideal is None and max_cones_doc is None:
         raise ModelError("at least one of sr_ideal / max_cones is required")

@@ -9,6 +9,13 @@ are the convolution in r of the factors of its components.  A component
 with one generator restricts to a simplex boundary, with factors {1: 1}.
 These factors are independent of the line bundle, so a table over all
 scanned degrees is the natural cached object.
+
+The same component recurs in many degrees: in a product variety, in every
+degree that pairs it with a part of the other factor.  A table computes
+each distinct component once, keyed by its vertex mask M.  The mask fixes
+the generators: every generator inside M lies in the degree and meets M,
+so it is one of the component's, and the component's generators all lie
+inside M.
 """
 
 from __future__ import annotations
@@ -95,14 +102,14 @@ def _component_factors(vertices: int, gens: list[int]) -> Dict[int, int]:
     return {j + 2: h for j, h in dims.items()}
 
 
-def multiplicity_factors(degree_set: DegreeSet, degree: int) -> Dict[int, int]:
-    """Sparse {r: beta} map for one squarefree degree (nonzero entries only)."""
-    if degree not in degree_set:
-        raise ValueError(f"degree {degree:b} not in the scanned degree set")
+def _factors(degree_set: DegreeSet, degree: int, memo: Dict[int, Dict[int, int]]) -> Dict[int, int]:
+    """Factors of one lattice degree; `memo` maps vertex masks of components to their factors."""
     (tau,), = degree_set.entries[degree].values()
     factors = {0: 1}
     for vertices, group in _components([degree_set.supports[i] for i in bits(tau)]):
-        part = _component_factors(vertices, group)
+        part = memo.get(vertices)
+        if part is None:
+            part = memo[vertices] = _component_factors(vertices, group)
         joined: Dict[int, int] = {}
         for r, x in factors.items():
             for s, y in part.items():
@@ -111,6 +118,17 @@ def multiplicity_factors(degree_set: DegreeSet, degree: int) -> Dict[int, int]:
     return dict(sorted(factors.items()))
 
 
+def multiplicity_factors(degree_set: DegreeSet, degree: int) -> Dict[int, int]:
+    """Sparse {r: beta} map for one squarefree degree (nonzero entries only)."""
+    if degree not in degree_set:
+        raise ValueError(f"degree {degree:b} not in the scanned degree set")
+    return _factors(degree_set, degree, {})
+
+
 def multiplicity_table(degree_set: DegreeSet) -> Dict[int, Dict[int, int]]:
-    """{degree: {r: beta}} for every lattice degree, in degree order; {} marks zero."""
-    return {deg: multiplicity_factors(degree_set, deg) for deg in degree_set.degrees()}
+    """{degree: {r: beta}} for every lattice degree, in degree order; {} marks zero.
+
+    Each distinct component is computed once per table.
+    """
+    memo: Dict[int, Dict[int, int]] = {}
+    return {deg: _factors(degree_set, deg, memo) for deg in degree_set.degrees()}

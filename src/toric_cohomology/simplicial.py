@@ -7,9 +7,10 @@ restriction is closed by construction and records so, and skips the range
 check of its faces.  A complex finds its cone apex (a vertex v with f | v
 a face for every face f) once and keeps it: reduced homology answers a
 cone as acyclic at once, and the fan route hands the apex down to the
-subsets that keep it.  Otherwise homology takes ranks of sparse boundary
-rows.  The link and the Alexander dual, which only the tests use, are
-reference helpers in tests/util.py.
+subsets that keep it.  Otherwise homology takes the edges' rank by
+union-find and the other ranks from sparse boundary rows.  The link and
+the Alexander dual, which only the tests use, are reference helpers in
+tests/util.py.
 
 Conventions: a face with k vertices lives in chain degree k-1; the empty
 face, when present, spans degree -1.  A FaceSet with no faces at all
@@ -102,8 +103,37 @@ def restrict(delta: FaceSet, sigma: int) -> FaceSet:
     return result
 
 
+def _edge_rank(edges: list[int]) -> int:
+    """Rank of the vertex-edge boundary: vertices less connected components.
+
+    Union-find over the edges' endpoints; each edge that joins two
+    components raises the rank by one.
+    """
+    parent: Dict[int, int] = {}
+
+    def root(v: int) -> int:
+        while v in parent:
+            v = parent[v]
+        return v
+
+    rank = 0
+    for e in edges:
+        low = e & -e
+        a, b = root(low), root(e ^ low)
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
+
+
 def reduced_homology(delta: FaceSet) -> Dict[int, int]:
-    """Dimensions of rational reduced homology, as a sparse {degree: dim} map."""
+    """Dimensions of rational reduced homology, as a sparse {degree: dim} map.
+
+    dim H~_j = faces in degree j less the ranks of the boundaries out of
+    degrees j and j+1.  The vertex-edge boundary's rank is the number of
+    vertices less the number of connected components of the graph, found
+    by union-find; the other ranks come from `integer_rank`.
+    """
     _require_closed(delta, "reduced_homology")
     if delta.cone_apex >= 0:
         return {}
@@ -115,6 +145,9 @@ def reduced_homology(delta: FaceSet) -> Dict[int, int]:
     for j, flist in by_degree.items():
         targets = by_degree.get(j - 1)
         if not targets:
+            continue
+        if j == 1:
+            ranks[1] = _edge_rank(flist)
             continue
         index = {f: k for k, f in enumerate(targets)}
         rows = [

@@ -72,6 +72,12 @@ class TestParse:
         with pytest.raises(ModelError, match="non-integer"):
             parse_variety(json.dumps(doc))
 
+    def test_null_charges(self):
+        # sr_ideal and max_cones may be null, the required charges may not
+        doc = dict(P2_DOC, charges=None)
+        with pytest.raises(ModelError, match="charges"):
+            parse_variety(json.dumps(doc))
+
     def test_dimension_consistency(self):
         doc = dict(P2_DOC, charges=[[1, 0], [0, 1], [1, 1]])
         with pytest.raises(ModelError):

@@ -5,6 +5,7 @@ import pytest
 
 from toric_cohomology import (
     ModelError,
+    ToricVarietyModel,
     load_bundled,
     multiplicity_factors,
     multiplicity_table,
@@ -12,10 +13,19 @@ from toric_cohomology import (
     restrict,
     scan_powerset,
 )
+from toric_cohomology import multiplicity
 from toric_cohomology.multiplicity import MAX_FACES
 from toric_cohomology.oracle import fan_complex
 
-from util import contributing_degrees, gamma_factor_table, polygon_model, polygon_rays
+from util import (
+    contributing_degrees,
+    gamma_factor_table,
+    polygon_model,
+    polygon_rays,
+    product_model,
+)
+
+P1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
 
 
 def test_p2_factors():
@@ -98,6 +108,30 @@ def test_equals_gamma_reference_on_bundled_models():
         p = scan_powerset(model.sr_generators, model.n)
         table = multiplicity_table(p)
         assert table == gamma_factor_table(model.sr_generators, model.n), name
+
+
+@pytest.mark.parametrize("factor", ["P1", "F1"])
+def test_products_compute_each_component_once(factor, monkeypatch):
+    # a degree of dP3 x F1 joins a part of dP3 and a part of F1, so each
+    # dP3 component recurs in every degree that pairs it with an F1 part;
+    # the table computes each of dP3's 36 components once, as dP3's does
+    calls = []
+    homology = multiplicity.reduced_homology
+
+    def counted(delta):
+        calls.append(delta)
+        return homology(delta)
+
+    monkeypatch.setattr(multiplicity, "reduced_homology", counted)
+    dp3 = load_bundled("dP3")
+    model = product_model(dp3, P1 if factor == "P1" else load_bundled(factor))
+    p = scan_powerset(model.sr_generators, model.n)
+    table = multiplicity_table(p)
+    assert len(calls) == 36
+    assert table == gamma_factor_table(model.sr_generators, model.n)
+    calls.clear()
+    multiplicity_table(scan_powerset(dp3.sr_generators, dp3.n))
+    assert len(calls) == 36
 
 
 def test_degree_outside_the_lattice_rejected():

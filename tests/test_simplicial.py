@@ -27,6 +27,17 @@ def cone(delta, v):
     return FaceSet(delta.vertex_count + 1, frozenset(shifted | {f | 1 << v for f in shifted}))
 
 
+def all_graphs(n):
+    """Every complex of dimension <= 1 on n vertices: each vertex subset
+    (the other vertices absent), each edge set on it."""
+    for vertices in range(1 << n):
+        points = [1 << v for v in range(n) if vertices >> v & 1]
+        pairs = [a | b for k, a in enumerate(points) for b in points[k + 1:]]
+        for chosen in range(1 << len(pairs)):
+            edges = (e for k, e in enumerate(pairs) if chosen >> k & 1)
+            yield FaceSet(n, frozenset({0, *points, *edges}))
+
+
 def triangle_boundary():
     # all proper faces of {0,1,2}
     return faceset(3, (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
@@ -183,12 +194,22 @@ class TestReducedHomology:
         # simplex boundaries and Alexander duals
         complexes += [FaceSet(n, frozenset(range((1 << n) - 1))) for n in range(1, 8)]
         complexes += [alexander_dual(d) for d in complexes[:150]]
+        # every complex of dimension <= 1 on five vertices, where the
+        # edges' rank is vertices less components
+        graphs = list(all_graphs(5))
+        assert len(graphs) == 1 + 5 + 10 * 2 + 10 * 8 + 5 * 64 + 1024
         nonzero = 0
-        for d in complexes:
+        for d in complexes + graphs:
             dims = reduced_homology(d)
             assert dims == projected_homology(d.faces)
             nonzero += bool(dims)
         assert nonzero > 60
+        # without the empty face a graph's homology is the unreduced one
+        for d in graphs:
+            unreduced = {j: h for j, h in reduced_homology(d).items() if j >= 0}
+            if len(d.faces) > 1:
+                unreduced[0] = unreduced.get(0, 0) + 1
+            assert projected_homology(d.faces - {0}) == unreduced
 
 
 class TestAlexanderDuality:
