@@ -3,13 +3,13 @@
 Weights neg-group counts by reduced homology of restrictions of the fan
 complex over all coordinate subsets, bypassing the Stanley-Reisner lcm
 lattice entirely.  One sweep visits the 2^n subsets, each after its
-parent (itself plus one vertex).  A subset that keeps the cone apex of its
-parent's restriction is a cone too, so it is acyclic without being
-restricted; only the others are restricted, and only those that are not
-cones are ranked (P1^5: 94 and 32 of 1,024).  Also provides the Hochster
-cross-check tying the multiplicity factors to restriction homology,
-including the vanishing assertions for degrees outside the scanned degree
-set.
+parent (itself plus one vertex), and keeps the non-acyclic restrictions in
+one map.  A subset that keeps the cone apex of its parent's restriction is
+a cone too, so it is acyclic without being restricted; only the others are
+restricted, and only those that are not cones are ranked (P1^5: 94 and 32
+of 1,024).  The Hochster cross-check compares the multiplicity factor table
+with that map on every subset: each lattice degree by Hochster's formula,
+every other subset as acyclic.
 
 A `FanOracle` is built on one engine (`CohomologyEngine.oracle`).  Only
 its weights (`terms`) are its own: the engine's counter sums them with
@@ -18,7 +18,6 @@ its weights (`terms`) are its own: the engine's counter sums them with
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Sequence
@@ -31,9 +30,6 @@ from .model import DivisorClass, ToricVarietyModel
 from .simplicial import FaceSet, reduced_homology, restrict
 
 MAX_SCAN_VERTICES = 20
-# hochster_check's seeded sample of the degrees outside the degree set
-HOCHSTER_SAMPLE = 200
-HOCHSTER_SEED = 0
 
 
 def fan_complex(model: ToricVarietyModel) -> FaceSet:
@@ -55,14 +51,14 @@ class HochsterReport:
 
 
 class FanOracle:
-    """Fan-route computations for one model, with cached restriction homology."""
+    """Fan-route computations for one model, over one swept homology map."""
 
     def __init__(self, engine: CohomologyEngine | ToricVarietyModel):
         if isinstance(engine, ToricVarietyModel):  # bench/make_refs.py passes a bare model
             engine = CohomologyEngine(engine)
         model = engine.model
         # the bound comes first: the closure below has up to 2^n faces, and
-        # the sweep of `terms` keeps one byte per subset
+        # the sweep of `_homology` keeps one byte per subset
         if model.n > MAX_SCAN_VERTICES:
             raise ModelError(
                 "the fan route sweeps all 2^n coordinate subsets; "
@@ -72,49 +68,42 @@ class FanOracle:
         self.model = model
         self.complex = fan_complex(model)
         self.counter = engine.counter
-        # non-acyclic restrictions only; after the sweep every other subset is acyclic
-        self._homology: Dict[int, Dict[int, int]] = {}
-        self._apex: Dict[int, int] = {}  # restrictions found to be cones -> their apex
-        self._swept = False
+        self._apex = -1  # the last restriction's cone apex, -1 if it was no cone
 
     def restriction_homology(self, sigma: int) -> Dict[int, int]:
         """Reduced homology dims of the fan complex restricted to `sigma`.
 
-        A restriction that is a cone records its apex (a vertex of sigma)
-        in `_apex`, for the sweep of `terms` to hand down.
+        A restriction that is a cone is acyclic; its apex (a vertex of
+        sigma) is left in `_apex` for the sweep of `_homology` to hand down.
         """
-        hom = self._homology.get(sigma)
-        if hom is not None or self._swept or sigma in self._apex:
-            return hom or {}
         delta = restrict(self.complex, sigma)
-        if delta.cone_apex >= 0:
-            self._apex[sigma] = list(bits(sigma))[delta.cone_apex]
-            return {}
-        hom = reduced_homology(delta)
-        if hom:
-            self._homology[sigma] = hom
-        return hom
+        self._apex = list(bits(sigma))[delta.cone_apex] if delta.cone_apex >= 0 else -1
+        return {} if self._apex >= 0 else reduced_homology(delta)
 
-    def _sweep(self) -> None:
-        """Restriction homology of every subset, each parent before its children.
+    @cached_property
+    def _homology(self) -> Dict[int, Dict[int, int]]:
+        """{sigma: reduced homology of the restriction to sigma}, non-acyclic ones only.
 
-        A subset's parent adds back its lowest missing vertex, so it is
-        larger and comes first in decreasing order.  If the parent's
-        restriction is a cone with apex a, so is that of a child keeping a:
-        for a face f of the child, f | a is a face of the parent inside the
-        child.  Such a child is acyclic and takes no restriction; the others
-        go through `restriction_homology`, whose cone test finds the apex
-        that their own children inherit.
+        One sweep, each subset after its parent, which adds back its lowest
+        missing vertex and so is larger and comes first in decreasing
+        order.  If the parent's restriction is a cone with apex a, so is
+        that of a child keeping a: for a face f of the child, f | a is a
+        face of the parent inside the child.  Such a child is acyclic and
+        takes no restriction; the others go through `restriction_homology`,
+        whose cone test finds the apex that their own children inherit.
         """
         full = (1 << self.model.n) - 1
         apex = bytearray(full + 1)  # apex + 1 per subset, 0 if none
+        homology = {}
         for sigma in range(full, -1, -1):
             a = apex[(sigma | sigma + 1) & full] - 1  # the full set reads its own 0
             if a < 0 or not sigma >> a & 1:
-                self.restriction_homology(sigma)
-                a = self._apex.get(sigma, -1)
+                hom = self.restriction_homology(sigma)
+                if hom:
+                    homology[sigma] = hom
+                a = self._apex
             apex[sigma] = a + 1
-        self._swept = True
+        return homology
 
     @cached_property
     def terms(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -122,7 +111,6 @@ class FanOracle:
 
         Sigma's weights are read from the restriction to its complement.
         """
-        self._sweep()
         n, d = self.model.n, self.model.dim
         terms = []
         for rest, hom in self._homology.items():
@@ -136,43 +124,33 @@ class FanOracle:
         return self.counter.dims(alpha, self.terms)
 
     def hochster_check(self) -> HochsterReport:
-        """Compare multiplicity factors with restriction homology degree by degree.
+        """Compare the factor table with the swept homology map on every subset.
 
-        For every scanned degree the factor map must match the Hochster-side
-        dims; for degrees outside the scan (all of them, or a sample of
-        HOCHSTER_SAMPLE seeded by HOCHSTER_SEED when there are more) all
-        restriction homology must vanish.
+        A lattice degree's factors must be Hochster's re-indexing of the
+        homology of the restriction to it (`checked`); every other subset
+        must restrict to an acyclic complex (`vanishing_checked`, that is
+        2^n less the lattice).
         Model validation makes the fan complex the Stanley-Reisner complex,
         so this checks the component split, class merge, crosscut and face
         listing, not an independent derivation (see tests/util.py).
         """
         n = self.model.n
-        table = self.engine.table
-        report = HochsterReport()
-        for deg, factors in table.items():
-            size = bin(deg).count("1")
-            hom = self.restriction_homology(deg)
-            hochster = {
-                r: hom[size - r - 1]
-                for r in range(0, size + 1)
-                if hom.get(size - r - 1)
-            }
-            report.checked += 1
-            if hochster != factors:
-                report.mismatches.append(
-                    f"degree {bitstring(deg, n)}: factor table {factors} "
-                    f"!= Hochster {hochster}"
-                )
-        outside = [m for m in range(1 << n) if m not in table]
-        if len(outside) > HOCHSTER_SAMPLE:
-            outside = random.Random(HOCHSTER_SEED).sample(outside, HOCHSTER_SAMPLE)
-        for deg in outside:
-            hom = self.restriction_homology(deg)
-            report.vanishing_checked += 1
-            if hom:
+        table, homology = self.engine.table, self._homology
+        report = HochsterReport(checked=len(table), vanishing_checked=(1 << n) - len(table))
+        for deg in sorted(table.keys() | homology.keys()):
+            hom = homology.get(deg, {})
+            if deg not in table:
                 report.mismatches.append(
                     f"degree {bitstring(deg, n)} outside the degree set has "
                     f"nonvanishing restriction homology {hom}"
+                )
+                continue
+            size = deg.bit_count()
+            hochster = {size - j - 1: h for j, h in hom.items()}
+            if hochster != table[deg]:
+                report.mismatches.append(
+                    f"degree {bitstring(deg, n)}: factor table {table[deg]} "
+                    f"!= Hochster {hochster}"
                 )
         return report
 

@@ -4,16 +4,18 @@ Weighted projective spaces put both routes on complete fans whose cones are
 not unimodular: h^0 of O(k) counts the monomials of weighted degree k, h^top
 those of degree -k - sum(w) (Serre duality), and every other h^i vanishes.
 On smooth complete polygon fans, Riemann-Roch gives the Euler
-characteristic from the intersection form.
+characteristic from the intersection form.  Iterated star subdivisions of
+P3 are threefolds that are not products: there the Hochster check, the fan
+route and Serre duality are checked at multiples of K.
 """
 
 import random
 
 import pytest
 
-from toric_cohomology import CohomologyEngine, ToricVarietyModel
+from toric_cohomology import CohomologyEngine, ToricVarietyModel, canonical_class
 
-from util import charge_image, polygon_model, polygon_rays, series_count
+from util import charge_image, polygon_model, polygon_rays, series_count, star_subdivided_p3
 
 WEIGHTS = [(1, 1, 2), (1, 2, 3), (1, 1, 1, 3), (2, 3, 5), (1, 2, 2, 3), (1, 3, 4, 5)]
 
@@ -72,3 +74,16 @@ def test_riemann_roch_on_smooth_polygon_fans():
             square, dk = sum(x * y for x, y in zip(a, da)), -sum(da)
             h = engine.cohomology(charge_image(model, a)).dims
             assert 2 * (h[0] - h[1] + h[2]) == 2 + square - dk, (rays, a)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_star_subdivided_p3(n):
+    engine = CohomologyEngine(star_subdivided_p3(n))
+    report = engine.oracle.hochster_check()
+    assert report.ok, report.mismatches
+    assert report.vanishing_checked == 2 ** n - len(engine.table)
+    k = canonical_class(engine.model)
+    for c in (0, 1, -1, 2):
+        alpha = tuple(c * x for x in k)
+        assert engine.oracle.cohomology_via_fan(alpha) == engine.cohomology(alpha).dims, c
+        assert engine.serre_check(alpha)[0], c

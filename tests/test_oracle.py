@@ -20,9 +20,9 @@ from toric_cohomology import (
 from toric_cohomology import FaceSet, reduced_homology, restrict
 from toric_cohomology import engine as engine_module
 from toric_cohomology import oracle as oracle_module
-from toric_cohomology._bits import bits
+from toric_cohomology._bits import bits, bitstring
 from toric_cohomology.engine import counter_for
-from toric_cohomology.oracle import HOCHSTER_SAMPLE, MAX_SCAN_VERTICES
+from toric_cohomology.oracle import MAX_SCAN_VERTICES
 
 from util import (
     fan_terms,
@@ -214,28 +214,15 @@ class TestSweep:
         assert calls["cone_apex"] == calls["restrict"] <= 1 << m.n
         assert calls["reduced_homology"] <= calls["restrict"]
 
-    def test_swept_memo_answers_every_subset(self):
-        # non-acyclic restrictions are stored, the others read as acyclic
-        m = load_bundled("dP3")
-        oracle = FanOracle(m)
-        oracle.terms
+    @pytest.mark.parametrize("m", [load_bundled(name) for name in ALL_MODELS] + [p1_power(4)],
+                             ids=list(ALL_MODELS) + ["P1^4"])
+    def test_swept_map_answers_every_subset(self, m):
+        # each non-acyclic restriction is stored, and only those
+        homology = FanOracle(m)._homology
         delta = fan_complex(m)
-        assert all(hom for hom in oracle._homology.values())
         for sigma in range(1 << m.n):
-            assert oracle.restriction_homology(sigma) == reduced_homology(restrict(delta, sigma))
-
-    def test_hochster_reports_equal_before_and_after_the_sweep(self):
-        for m in [load_bundled(name) for name in ALL_MODELS] + [p1_power(4)]:
-            fresh = FanOracle(m).hochster_check()
-            swept = FanOracle(m)
-            swept.terms
-            after = swept.hochster_check()
-            assert (after.checked, after.vanishing_checked, after.mismatches) == (
-                fresh.checked, fresh.vanishing_checked, fresh.mismatches)
-            # and a sweep after the check reads the check's memo correctly
-            first = FanOracle(m)
-            first.hochster_check()
-            assert first.terms == fan_terms(m)
+            assert homology.get(sigma, {}) == reduced_homology(restrict(delta, sigma)), sigma
+        assert all(homology.values())
 
     def test_bound(self):
         n = MAX_SCAN_VERTICES + 1
@@ -255,10 +242,11 @@ def test_truncated_fan_raises_on_fan_route():
 class TestHochster:
     def test_all_bundled_models_clean(self):
         for name in ALL_MODELS:
-            report = hochster_check(load_bundled(name))
+            engine = CohomologyEngine(load_bundled(name))
+            report = engine.oracle.hochster_check()
             assert report.ok, (name, report.mismatches)
-            assert report.checked > 0
-            assert report.vanishing_checked > 0
+            assert report.checked == len(engine.table) > 0
+            assert report.vanishing_checked == (1 << engine.model.n) - len(engine.table) > 0
 
     def test_p2_counts(self, p2):
         report = hochster_check(p2)
@@ -266,20 +254,31 @@ class TestHochster:
         assert report.checked == 2
         assert report.vanishing_checked == 6
 
-    def test_sampling_is_deterministic(self):
-        # P1^4 has 240 degrees outside its 16-degree lattice, more than the sample
-        m = product_model(P1, load_bundled("P1xP1xP1"))
-        a, b = FanOracle(CohomologyEngine(m)), FanOracle(CohomologyEngine(m))
-        ra, rb = a.hochster_check(), b.hochster_check()
-        assert ra.vanishing_checked == rb.vanishing_checked == HOCHSTER_SAMPLE
-        assert ra.mismatches == rb.mismatches == []
-        # the same degrees were sampled: both oracles computed the same restrictions
-        assert a._homology.keys() == b._homology.keys()
+    def test_every_subset_outside_the_lattice_is_checked(self):
+        # P1^4 has 240 subsets outside its 16-degree lattice
+        engine = CohomologyEngine(p1_power(4))
+        report = engine.oracle.hochster_check()
+        assert (report.checked, report.vanishing_checked) == (16, 240)
+        assert report.ok, report.mismatches
+
+    def test_planted_homology_is_reported(self):
+        engine = CohomologyEngine(p1_power(4))
+        homology = engine.oracle._homology
+        outside = next(s for s in range(1 << 8) if s not in engine.table)
+        homology[outside] = {0: 1}
+        lattice = max(engine.table)  # the full set, a 3-sphere with factors {4: 1}
+        homology[lattice] = {0: 1}
+        report = engine.oracle.hochster_check()
+        assert sorted(report.mismatches, key=lambda m: "outside" not in m) == [
+            f"degree {bitstring(outside, 8)} outside the degree set has "
+            "nonvanishing restriction homology {0: 1}",
+            "degree 11111111: factor table {4: 1} != Hochster {7: 1}",
+        ]
 
     def test_mismatch_is_reported(self, p2):
         oracle = FanOracle(CohomologyEngine(p2))
         oracle._homology = {}
-        oracle._homology[0b111] = {0: 5}  # poison the cache
+        oracle._homology[0b111] = {0: 5}  # planted in the swept map
         report = oracle.hochster_check()
         assert not report.ok
         assert any("111" in m for m in report.mismatches)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from toric_cohomology._bits import bits, bitstring, complement
@@ -295,6 +296,33 @@ def polygon_model(rays):
     return ToricVarietyModel(
         tuple(f"x{i + 1}" for i in range(n)),
         2,
+        tuple(tuple(col[i] for col in kernel) for i in range(n)),
+        tuple(sr_from_max_cones(cones, n)),
+        cones,
+    )
+
+
+def star_subdivided_p3(n: int, seed: int = 0):
+    """A smooth projective threefold on n >= 4 rays: P3, star-subdivided n - 4 times.
+
+    The rays start as e1, e2, e3 and -e1-e2-e3.  Each step subdivides a
+    seeded random maximal cone by the sum of its rays (the blow-up of a
+    torus-fixed point); the charges span the integer kernel of the ray
+    matrix.
+    """
+    rng = random.Random(seed)
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    cones = [0b1111 ^ 1 << i for i in range(4)]
+    while len(rays) < n:
+        cone = cones.pop(rng.randrange(len(cones)))
+        rays.append(tuple(map(sum, zip(*(rays[i] for i in bits(cone))))))
+        new = 1 << len(rays) - 1
+        cones += [cone ^ 1 << i | new for i in bits(cone)]
+    kernel = DiagonalizedSystem(tuple(zip(*rays))).kernel_basis()
+    cones = tuple(sorted(cones))
+    return ToricVarietyModel(
+        tuple(f"x{i + 1}" for i in range(n)),
+        3,
         tuple(tuple(col[i] for col in kernel) for i in range(n)),
         tuple(sr_from_max_cones(cones, n)),
         cones,
