@@ -70,7 +70,9 @@ class ToricVarietyModel:
         object.__setattr__(self, "coordinate_names", tuple(self.coordinate_names))
         object.__setattr__(self, "charges", tuple(tuple(r) for r in self.charges))
         if self.sr_generators is None and self.max_cones is None:
-            raise ModelError("Stanley-Reisner generators or maximal cones are required")
+            raise ModelError(
+                "Stanley-Reisner generators (sr_ideal) or maximal cones (max_cones) are required"
+            )
         if self.sr_generators is not None:
             object.__setattr__(self, "sr_generators", tuple(sorted(self.sr_generators)))
         if self.max_cones is not None:
@@ -224,8 +226,6 @@ def parse_variety(text: str) -> ToricVarietyModel:
     for key, value in (("charges", charges), ("sr_ideal", sr_ideal), ("max_cones", max_cones_doc)):
         if (value is not None or key == "charges") and not _is_int_lists(value):
             raise ModelError(f"{key}: not a list of lists, or a non-integer entry")
-    if sr_ideal is None and max_cones_doc is None:
-        raise ModelError("at least one of sr_ideal / max_cones is required")
     n = len(names)
     # the model checks this bound too, but the masks below cost O(n) each
     if n > MAX_VERTICES:

@@ -48,7 +48,9 @@ def _components(gens: list[int]) -> list[tuple[int, list[int]]]:
 def _faces(positions: list[int], admits) -> list[int]:
     """Faces on `positions`, grown one vertex v at a time while admits(face, v).
 
-    The work follows the output; more than MAX_FACES faces raise ModelError.
+    Every face grows from the empty one, so the faces are closed under
+    subsets when `admits` is monotone.  The work follows the output; more
+    than MAX_FACES faces raise ModelError.
     """
     faces, stack = [], [(0, 0)]
     while stack:
@@ -88,7 +90,7 @@ def _component_factors(vertices: int, gens: list[int]) -> Dict[int, int]:
     if len(reps) <= len(gens):
         through = {v: [g for g in gens if g >> v & 1] for v in reps}
         faces = _faces(reps, lambda f, v: all(g & ~f for g in through[v]))
-        dims = reduced_homology(FaceSet(top.bit_length(), frozenset(faces)))
+        dims = reduced_homology(FaceSet._closed(top.bit_length(), faces))
         return {len(reps) - j - 1: h for j, h in dims.items()}
 
     def admits(s: int, _: int) -> bool:
@@ -98,7 +100,7 @@ def _component_factors(vertices: int, gens: list[int]) -> Dict[int, int]:
         return union != top
 
     faces = _faces(list(range(len(gens))), admits)
-    dims = reduced_homology(FaceSet(len(gens), frozenset(faces)))
+    dims = reduced_homology(FaceSet._closed(len(gens), faces))
     return {j + 2: h for j, h in dims.items()}
 
 

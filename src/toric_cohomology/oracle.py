@@ -2,14 +2,15 @@
 
 Weights neg-group counts by reduced homology of restrictions of the fan
 complex over all coordinate subsets, bypassing the Stanley-Reisner lcm
-lattice entirely.  One sweep visits the 2^n subsets, each after its
-parent (itself plus one vertex), and keeps the non-acyclic restrictions in
-one map.  A subset that keeps the cone apex of its parent's restriction is
-a cone too, so it is acyclic without being restricted; only the others are
-restricted, and only those that are not cones are ranked (P1^5: 94 and 32
-of 1,024).  The Hochster cross-check compares the multiplicity factor table
-with that map on every subset: each lattice degree by Hochster's formula,
-every other subset as acyclic.
+lattice entirely.  One sweep visits the 2^n subsets, each after its parent
+(itself plus one vertex), and keeps the non-acyclic restrictions in one
+map.  A restriction keeps the fan complex's vertex labels, so its cone
+apex is a coordinate, and a subset that keeps the apex of its parent's
+restriction is a cone too: it is acyclic without being restricted.  Only
+the others are restricted, and only those that are not cones are ranked
+(P1^5: 94 and 32 of 1,024).  The Hochster cross-check compares the
+multiplicity factor table with that map on every subset: each lattice
+degree by Hochster's formula, every other subset as acyclic.
 
 A `FanOracle` is built on one engine (`CohomologyEngine.oracle`).  Only
 its weights (`terms`) are its own: the engine's counter sums them with
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Sequence
 
-from ._bits import bits, bitstring, complement
+from ._bits import bitstring, complement
 from .engine import CohomologyEngine, engine_for
 from .engine import counter_for  # noqa: F401  no caller here; bench/spans.py wraps this name
 from .errors import ModelError
@@ -77,7 +78,7 @@ class FanOracle:
         sigma) is left in `_apex` for the sweep of `_homology` to hand down.
         """
         delta = restrict(self.complex, sigma)
-        self._apex = list(bits(sigma))[delta.cone_apex] if delta.cone_apex >= 0 else -1
+        self._apex = delta.cone_apex
         return {} if self._apex >= 0 else reduced_homology(delta)
 
     @cached_property

@@ -3,14 +3,15 @@
 A :class:`FaceSet` is a finite collection of vertex subsets.  The complex
 operations the package uses (restriction and reduced homology) require it
 to be closed under taking subsets, and raise ValueError otherwise; a
-restriction is closed by construction and records so, and skips the range
-check of its faces.  A complex finds its cone apex (a vertex v with f | v
-a face for every face f) once and keeps it: reduced homology answers a
-cone as acyclic at once, and the fan route hands the apex down to the
-subsets that keep it.  Otherwise homology takes the edges' rank by
-union-find and the other ranks from sparse boundary rows.  The link and
-the Alexander dual, which only the tests use, are reference helpers in
-tests/util.py.
+complex closed and in range by construction (a restriction, a factor
+complex) is built by `FaceSet._closed`, which checks nothing.  A
+restriction keeps its complex's vertex labels.  A complex finds its cone
+apex (a vertex v with f | v a face for every face f) once and keeps it:
+reduced homology answers a cone as acyclic at once, and the fan route
+hands the apex down to the subsets that keep it.  Otherwise homology
+takes the edges' rank by union-find and the other ranks from sparse
+boundary rows.  The link and the Alexander dual, which only the tests
+use, are reference helpers in tests/util.py.
 
 Conventions: a face with k vertices lives in chain degree k-1; the empty
 face, when present, spans degree -1.  A FaceSet with no faces at all
@@ -53,6 +54,13 @@ class FaceSet:
             faces.update(submasks(g))
         return cls(vertex_count, frozenset(faces))
 
+    @classmethod
+    def _closed(cls, vertex_count: int, faces: Iterable[int]) -> "FaceSet":
+        """A complex closed and within `vertex_count` by construction: recorded closed, not checked."""
+        result = object.__new__(cls)
+        result.__dict__.update(vertex_count=vertex_count, faces=frozenset(faces), is_subset_closed=True)
+        return result
+
     @property
     def is_void(self) -> bool:
         return not self.faces
@@ -82,25 +90,10 @@ def _require_closed(delta: FaceSet, op: str) -> None:
 
 
 def restrict(delta: FaceSet, sigma: int) -> FaceSet:
-    """Faces of `delta` contained in `sigma`, re-indexed to sigma's vertices.
-
-    The result of a closed complex is closed, and is recorded as such; its
-    faces lie in range by construction, so they are not checked again.
-    """
+    """Faces of the closed complex `delta` inside `sigma`, keeping delta's labels and vertex_count."""
     _require_closed(delta, "restrict")
-    place = {1 << i: 1 << k for k, i in enumerate(bits(sigma))}  # old bit -> new bit
-    outside, faces = ~sigma, set()
-    for f in delta.faces:
-        if not f & outside:
-            g = 0
-            while f:
-                low = f & -f
-                g |= place[low]
-                f ^= low
-            faces.add(g)
-    result = object.__new__(FaceSet)
-    result.__dict__.update(vertex_count=len(place), faces=frozenset(faces), is_subset_closed=True)
-    return result
+    outside = ~sigma
+    return FaceSet._closed(delta.vertex_count, [f for f in delta.faces if not f & outside])
 
 
 def _edge_rank(edges: list[int]) -> int:

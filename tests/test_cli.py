@@ -183,6 +183,32 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+P2_DOC = {"coordinates": ["x1", "x2", "x3"], "dimension": 2,
+          "charges": [[1], [1], [1]], "sr_ideal": [[1, 2, 3]]}
+NAMES_64 = [f"x{i}" for i in range(1, 65)]
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(P2_DOC, coordinates=[], charges=[], sr_ideal=[], dimension=0),
+     "no coordinates given"),
+    # the bound comes before the vertex indices, here one out of range
+    (dict(P2_DOC, coordinates=NAMES_64, dimension=63, charges=[[1]] * 64,
+          sr_ideal=[[1, 65]]), "at most 63 coordinates supported, got 64"),
+    (dict(P2_DOC, coordinates=["x1", "x1", "x3"]), "duplicate coordinate names"),
+    (dict(P2_DOC, charges=[[1], [1]]), "expected 3 charge rows, got 2"),
+    (dict(P2_DOC, sr_ideal=[[]]), "empty Stanley-Reisner generator support"),
+    ({k: v for k, v in P2_DOC.items() if k != "sr_ideal"}, "are required"),
+], ids=["no-coordinates", "64-coordinates", "duplicate-names", "charge-rows",
+        "empty-generator", "no-fan-data"])
+def test_input_error_exits_1(doc, message, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke([str(path), "--class=0"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 USAGE = "usage: toric-cohomology"
 
 
@@ -194,11 +220,12 @@ USAGE = "usage: toric-cohomology"
     # an empty --box is a box, not an absent one
     ([f"{DATA}/P2.json", "--box="], "error: ", "bad box range ''"),
     ([f"{DATA}/P2.json", "--box=", "--class=1"], "error: ", "not both"),
+    ([f"{DATA}/P2.json", "--box=a..2"], "error: ", "bad box range 'a..2': bounds must be integers"),
     # CSV rows have no place for per-degree rows
     ([f"{DATA}/P2.json", "--class=1", "--breakdown", "--format=csv"], "error: ",
      "--breakdown needs --format=table or --format=json"),
 ], ids=["unknown-flag", "removed-flag", "no-input", "bad-format", "empty-box",
-        "empty-box-and-class", "csv-breakdown"])
+        "empty-box-and-class", "non-integer-box", "csv-breakdown"])
 def test_usage_error_exits_1(argv, head, message):
     # argparse's own code 2 is the documented code for non-finite cohomology;
     # sys.exit(run(...)) is what the console script runs

@@ -120,6 +120,13 @@ def test_integer_solve_and_kernel():
             assert all(sum(ai * ki for ai, ki in zip(row, k)) == 0 for row in a)
 
 
+def test_solve_needs_one_entry_per_row():
+    sys = DiagonalizedSystem(((1, 0), (0, 1)))
+    for b in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="right-hand side has wrong length"):
+            sys.solve(b)
+
+
 def test_kernel_basis_is_a_lattice_basis():
     # every integer kernel vector in a box is an integer combination of the
     # basis, not just a rational one

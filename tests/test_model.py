@@ -265,6 +265,20 @@ class TestValidationInvariants:
                 (0b0011,), (0b0101, 0b1001, 0b0110, 0b1010),
             )
 
+    def test_coordinate_bound(self):
+        names = tuple(f"x{i}" for i in range(64))
+        with pytest.raises(ModelError, match="at most 63 coordinates supported, got 64"):
+            ToricVarietyModel(names, 63, ((1,),) * 64, ((1 << 64) - 1,))
+
+    @pytest.mark.parametrize("gens, cones, message", [
+        ((0b1111,), None, "Stanley-Reisner generator outside coordinate range"),
+        (None, (0b011, 0b101, 0b1010), "maximal cone outside coordinate range"),
+    ], ids=["generator", "cone"])
+    def test_mask_outside_coordinate_range(self, gens, cones, message):
+        # parse_variety refuses a bad JSON index first; the constructor takes masks
+        with pytest.raises(ModelError, match=message):
+            ToricVarietyModel(("x1", "x2", "x3"), 2, ((1,), (1,), (1,)), gens, cones)
+
     def test_bundled_models_round_trip(self):
         for name in bundled_model_names():
             m = load_bundled(name)
@@ -282,3 +296,8 @@ class TestCanonicalClass:
 
 def test_bundled_model_names():
     assert bundled_model_names() == ["F1", "P1xP1", "P1xP1xP1", "P2", "dP3"]
+
+
+def test_unknown_bundled_model():
+    with pytest.raises(ModelError, match="no bundled model named 'nope'"):
+        load_bundled("nope")

@@ -4,8 +4,10 @@ import time
 import pytest
 
 from toric_cohomology import (
+    FaceSet,
     ModelError,
     ToricVarietyModel,
+    bundled_model_names,
     load_bundled,
     multiplicity_factors,
     multiplicity_table,
@@ -217,3 +219,30 @@ def test_vertex_classes_merge():
     assert time.perf_counter() - start < 1.0
     expected = multiplicity_table(heptagon)
     assert table == {double(d): f for d, f in expected.items()}
+
+
+def test_factor_complexes_are_built_closed(monkeypatch):
+    # the factor complexes are recorded closed without a check; a validated
+    # copy of each (range and closure checked) must read closed
+    built = []
+    homology = multiplicity.reduced_homology
+
+    def captured(delta):
+        built.append(delta)
+        return homology(delta)
+
+    monkeypatch.setattr(multiplicity, "reduced_homology", captured)
+    models = [load_bundled(name) for name in bundled_model_names()]
+    models.append(product_model(load_bundled("dP3"), load_bundled("F1")))
+    cases = [(m.sr_generators, m.n) for m in models] + [five_collections(), general_position()]
+    rng = random.Random(41)
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        drawn = {rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 7))}
+        antichain = sorted(g for g in drawn if not any(h != g and h & g == h for h in drawn))
+        cases.append((antichain, n))
+    for gens, n in cases:
+        multiplicity_table(scan_powerset(gens, n))
+    assert len(built) > 200
+    for delta in built:
+        assert FaceSet(delta.vertex_count, delta.faces).is_subset_closed, delta

@@ -168,11 +168,12 @@ class TestSweep:
         for _ in range(300):
             n = rng.randint(1, 7)
             delta, sigma = random_complex(n, rng), rng.randrange(1 << n)
-            apex = restrict(delta, sigma).cone_apex
-            if apex < 0:
+            a = restrict(delta, sigma).cone_apex
+            if a < 0:
                 continue
             cones += 1
-            a = list(bits(sigma))[apex]
+            # the restriction keeps delta's labels: its apex is a vertex of sigma
+            assert sigma >> a & 1, (delta, sigma, a)
             for v in bits(sigma & ~(1 << a)):
                 child = sigma & ~(1 << v)
                 faces = {f for f in delta.faces if not f & ~child}

@@ -43,21 +43,32 @@ def triangle_boundary():
     return faceset(3, (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
 
 
+class TestFaceSet:
+    def test_vertex_count_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="vertex_count must be nonnegative"):
+            FaceSet(-1, frozenset())
+
+    def test_faces_must_lie_in_the_vertex_set(self):
+        with pytest.raises(ValueError, match="not within the ambient vertex set"):
+            FaceSet(2, frozenset({0, 0b100}))
+
+
 class TestRestrict:
     def test_triangle_to_edge(self):
-        r = restrict(triangle_boundary(), mask_of((0, 1)))
-        assert r.vertex_count == 2
-        assert r.faces == frozenset({0, 1, 2, 3})
+        # the restriction keeps the triangle's labels and vertex count
+        r = restrict(triangle_boundary(), mask_of((1, 2)))
+        assert r.vertex_count == 3
+        assert r == faceset(3, (), (1,), (2,), (1, 2))
 
     def test_restrict_to_empty(self):
-        assert restrict(triangle_boundary(), 0) == FaceSet(0, frozenset({0}))
+        assert restrict(triangle_boundary(), 0) == FaceSet(3, frozenset({0}))
         void = FaceSet(3, frozenset())
         assert restrict(void, 0).is_void
 
     def test_points(self):
         pts = faceset(3, (), (0,), (1,), (2,))
         r = restrict(pts, mask_of((0, 2)))
-        assert r == faceset(2, (), (0,), (1,))
+        assert r == faceset(3, (), (0,), (2,))
 
     def test_requires_closed(self):
         with pytest.raises(ValueError):
@@ -76,8 +87,12 @@ class TestRestrict:
             n = rng.randint(1, 7)
             d, sigma = random_complex(n, rng), rng.randrange(1 << n)
             r = restrict(d, sigma)
-            assert r.faces == {_reindex(f, sigma) for f in d.faces if f & ~sigma == 0}
+            assert r.faces == {f for f in d.faces if not f & ~sigma}
             assert r.is_subset_closed == FaceSet(r.vertex_count, r.faces).is_subset_closed
+            # homology does not see the labels: renumbering onto sigma's
+            # vertices leaves it as it is
+            reindexed = FaceSet(sigma.bit_count(), frozenset(_reindex(f, sigma) for f in r.faces))
+            assert reduced_homology(r) == reduced_homology(reindexed)
 
 
 class TestLink:
