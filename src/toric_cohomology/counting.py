@@ -355,9 +355,18 @@ class NegGroupCounter:
     def _class(self, alpha: DivisorClass):
         """(u0, kill) for a class: one integer point u0 of its fiber, None
         outside the charge lattice, and its kill mask, the oriented circuits
-        t of the K rows with t . u0 + sum_(t_i > 0) t_i > 0."""
+        t of the K rows with t . u0 + sum_(t_i > 0) t_i > 0.
+
+        A class is checked once, when it first enters the memo: it needs
+        one int (not a bool) per class coordinate, else ValueError.
+        """
         entry = self._base.get(alpha)
         if entry is None:
+            k = self.model.num_classes
+            if len(alpha) != k:
+                raise ValueError(f"divisor class needs {k} entries, got {len(alpha)}")
+            if not all(type(a) is int for a in alpha):  # (2.0,) == (2,) would share memo keys
+                raise ValueError(f"divisor class entries must be integers, got {alpha!r}")
             u0, kill = self._system.solve(list(alpha)), 0
             if u0 is not None:
                 for j, (t, pos, neg) in enumerate(self._kernel_circuits[0]):
@@ -370,9 +379,14 @@ class NegGroupCounter:
         return entry
 
     def _fit_mask(self, sigma: int) -> int:
-        """The oriented circuits t of the K rows that fit sigma: t_i >= 0 on sigma, t_i <= 0 off it."""
+        """The oriented circuits t of the K rows that fit sigma: t_i >= 0 on sigma, t_i <= 0 off it.
+
+        A sigma outside 0..2^n - 1 names no coordinate subset: ValueError.
+        """
         fit = self._fit.get(sigma)
         if fit is None:
+            if not 0 <= sigma < 1 << self.model.n:
+                raise ValueError(f"degree {sigma} is not a subset of the {self.model.n} coordinates")
             fit = -1
             for i, (nonneg, nonpos) in enumerate(self._kernel_circuits[1]):
                 fit &= nonneg if sigma >> i & 1 else nonpos
@@ -397,10 +411,11 @@ class NegGroupCounter:
         circuit does as well.  So the circuits decide emptiness with one
         AND of two masks, and recession, before any row is built.
         """
+        fit = self._fit_mask(sigma)
         u0, kill = self._class(alpha)
         if u0 is None:  # alpha is not in the charge lattice: no vectors at all
             return ()
-        if kill & self._fit_mask(sigma):
+        if kill & fit:
             return ()
         if self.recession(sigma):
             return None
@@ -442,8 +457,6 @@ class NegGroupCounter:
         """
         alpha = tuple(alpha)
         model = self.model
-        if len(alpha) != model.num_classes:
-            raise ValueError(f"divisor class needs {model.num_classes} entries, got {len(alpha)}")
         dims = [0] * (model.dim + 1)
         u0, kill = self._class(alpha)
         if u0 is None:  # alpha is not in the charge lattice: every count is 0

@@ -1,12 +1,12 @@
 """Assembly of the cohomology dimension formula, with breakdowns and self-checks.
 
 For each squarefree degree with a nonzero multiplicity factor map, the
-neg-group count of its support is weighted into h^(|sigma| - r).  The sum
-runs over every lcm-lattice degree with nonzero factors.  On a complete
-fan each of them has its complement degree in the lattice too (the
-vanishing theorem: the factors of every other degree are zero), so this
-is the paper's dual-degree sum; on defective input a divergent term
-surfaces as a hard error instead of being silently dropped.
+neg-group count of its support is weighted into h^(|sigma| - r).  A
+degree's factors are zero unless the generators inside it cover it (the
+vanishing theorem), so the lcm lattice only lists the degrees to visit.
+On a complete fan each with nonzero factors has its complement there too,
+so this is the paper's dual-degree sum; on defective input a divergent
+term surfaces as a hard error instead of being silently dropped.
 
 The engine only sums, through `NegGroupCounter.dims`, the one loop that
 turns counts into an h-vector.  `terms` feeds it (degree, weights into
@@ -97,7 +97,7 @@ class CohomologyEngine:
     @cached_property
     def table(self) -> Dict[int, Dict[int, int]]:
         """{degree: {r: beta}} over the lcm lattice, in degree order."""
-        return multiplicity_table(self.degree_set)
+        return multiplicity_table(self.model.sr_generators, self.degree_set.degrees())
 
     @cached_property
     def oracle(self) -> FanOracle:

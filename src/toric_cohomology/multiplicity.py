@@ -7,8 +7,8 @@ The generators inside D fall into variable-disjoint components; Delta|_D
 is the join of the restrictions to their vertex sets, so the factors of D
 are the convolution in r of the factors of its components.  A component
 with one generator restricts to a simplex boundary, with factors {1: 1}.
-These factors are independent of the line bundle, so a table over all
-scanned degrees is the natural cached object.
+They vanish unless the generators inside D cover D, since a vertex in none
+of them is a cone apex of Delta|_D: only lcm-lattice degrees carry factors.
 
 The same component recurs in many degrees: in a product variety, in every
 degree that pairs it with a part of the other factor.  A table computes
@@ -20,12 +20,11 @@ inside M.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable, Sequence
 
 from ._bits import bits
 from .errors import ModelError
 from .simplicial import FaceSet, reduced_homology
-from .srscan import DegreeSet
 
 MAX_FACES = 1 << 10
 
@@ -104,11 +103,13 @@ def _component_factors(vertices: int, gens: list[int]) -> Dict[int, int]:
     return {j + 2: h for j, h in dims.items()}
 
 
-def _factors(degree_set: DegreeSet, degree: int, memo: Dict[int, Dict[int, int]]) -> Dict[int, int]:
-    """Factors of one lattice degree; `memo` maps vertex masks of components to their factors."""
-    (tau,), = degree_set.entries[degree].values()
+def _factors(generators: Sequence[int], degree: int, memo: Dict[int, Dict[int, int]]) -> Dict[int, int]:
+    """One degree's factors, {} unless its generators cover it; `memo` keys component masks."""
+    parts = _components([g for g in generators if not g & ~degree])
+    if sum(vertices for vertices, _ in parts) != degree:  # the masks are disjoint
+        return {}
     factors = {0: 1}
-    for vertices, group in _components([degree_set.supports[i] for i in bits(tau)]):
+    for vertices, group in parts:
         part = memo.get(vertices)
         if part is None:
             part = memo[vertices] = _component_factors(vertices, group)
@@ -120,17 +121,15 @@ def _factors(degree_set: DegreeSet, degree: int, memo: Dict[int, Dict[int, int]]
     return dict(sorted(factors.items()))
 
 
-def multiplicity_factors(degree_set: DegreeSet, degree: int) -> Dict[int, int]:
-    """Sparse {r: beta} map for one squarefree degree (nonzero entries only)."""
-    if degree not in degree_set:
-        raise ValueError(f"degree {degree:b} not in the scanned degree set")
-    return _factors(degree_set, degree, {})
+def multiplicity_factors(generators: Sequence[int], degree: int) -> Dict[int, int]:
+    """Sparse {r: beta} map for one squarefree degree (nonzero entries only; {} off the lattice)."""
+    return _factors(generators, degree, {})
 
 
-def multiplicity_table(degree_set: DegreeSet) -> Dict[int, Dict[int, int]]:
-    """{degree: {r: beta}} for every lattice degree, in degree order; {} marks zero.
+def multiplicity_table(generators: Sequence[int], degrees: Iterable[int]) -> Dict[int, Dict[int, int]]:
+    """{degree: {r: beta}} for each of `degrees`, in their order; {} marks zero.
 
     Each distinct component is computed once per table.
     """
     memo: Dict[int, Dict[int, int]] = {}
-    return {deg: _factors(degree_set, deg, memo) for deg in degree_set.degrees()}
+    return {deg: _factors(generators, deg, memo) for deg in degrees}

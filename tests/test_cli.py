@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import toric_cohomology
+from toric_cohomology import engine
 from toric_cohomology.cli import build_parser, main, parse_box_spec, parse_class_spec, run
 from toric_cohomology.errors import ModelError
 
@@ -387,6 +388,26 @@ def test_check_failure_exit_code(p2_path, monkeypatch):
     code, out, _ = invoke([p2_path, "--class", "0", "--oracle-check"])
     assert code == 3
     assert "[oracle FAIL]" in out
+
+
+def test_refused_float_class_leaves_the_memos_clean(p2_path, monkeypatch):
+    # (2.0,) == (2,), so a float class let into the memos would print
+    # floats for the integer class in the same process
+    monkeypatch.setattr(engine, "_engines", {})
+    with pytest.raises(ValueError, match="integers"):
+        engine.cohomology(toric_cohomology.load_bundled("P2"), (2.0,))
+    assert invoke([p2_path, "--class=2"]) == (0, "(2): 6 0 0\n", "")
+
+
+def test_untraced_run_never_builds_the_degree_entries(monkeypatch):
+    # the engine reads the lattice's degrees only; DegreeSet.entries is
+    # built for the readers that ask for it, and none is on this path
+    monkeypatch.setattr(engine, "_engines", {})
+    code, _, err = invoke([f"{DATA}/dP3.json", "--box=0..1,0..1,0..1,0..1", "--oracle-check", "--serre-check"])
+    assert code == 0, err
+    (eng,) = engine._engines.values()
+    assert "table" in eng.__dict__ and "oracle" in eng.__dict__
+    assert "entries" not in eng.degree_set.__dict__
 
 
 @pytest.mark.parametrize("model, spec, line", [

@@ -248,6 +248,35 @@ class TestCounts:
             enumerate_neg_group(model, (2,), 0b00)
 
 
+class TestInputChecks:
+    """A class and a degree are checked where they first enter the counter's memos."""
+
+    @pytest.mark.parametrize("alpha", [(2.0,), (1.5,), (True,)])
+    def test_class_entries_must_be_ints(self, p2, alpha):
+        counter = CohomologyEngine(p2).counter
+        for call in (counter.count, counter.enumerate):
+            with pytest.raises(ValueError, match="must be integers"):
+                call(alpha, 0)
+        with pytest.raises(ValueError, match="must be integers"):
+            counter.dims(alpha, [])
+        assert counter._base == {} and counter._counts == {}
+
+    def test_class_length_checked_on_every_entry_point(self, p2):
+        counter = CohomologyEngine(p2).counter
+        for call, second in ((counter.count, 0), (counter.enumerate, 0), (counter.dims, [])):
+            with pytest.raises(ValueError, match="divisor class needs 1 entries, got 2"):
+                call((1, 2), second)
+
+    @pytest.mark.parametrize("sigma", [0b1000, -1, 1 << 64])
+    def test_degree_outside_the_coordinates_refused(self, p2, sigma):
+        counter = CohomologyEngine(p2).counter
+        for call in (lambda: counter.count((3,), sigma), lambda: counter.enumerate((3,), sigma),
+                     lambda: counter.recession(sigma)):
+            with pytest.raises(ValueError, match="not a subset of the 3 coordinates"):
+                call()
+        assert counter.count((3,), 0).value == 10
+
+
 class TestAliveTerms:
     """`dims` sums only the terms a class's kill mask leaves alive; one pass over every term is the reference."""
 

@@ -30,31 +30,35 @@ from util import (
 P1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
 
 
+def lattice_table(gens, n):
+    """The factor table over the lcm lattice of `gens`, as the engine builds it."""
+    return multiplicity_table(gens, scan_powerset(gens, n).degrees())
+
+
 def test_p2_factors():
-    p = scan_powerset((0b111,), 3)
-    assert multiplicity_factors(p, 0b111) == {1: 1}
-    assert multiplicity_factors(p, 0) == {0: 1}
+    gens = (0b111,)
+    assert multiplicity_factors(gens, 0b111) == {1: 1}
+    assert multiplicity_factors(gens, 0) == {0: 1}
 
 
 def test_p1xp1_factors():
-    p = scan_powerset((0b0011, 0b1100), 4)
-    assert multiplicity_factors(p, 0b1111) == {2: 1}
-    assert multiplicity_factors(p, 0b0011) == {1: 1}
-    assert multiplicity_factors(p, 0b1100) == {1: 1}
+    gens = (0b0011, 0b1100)
+    assert multiplicity_factors(gens, 0b1111) == {2: 1}
+    assert multiplicity_factors(gens, 0b0011) == {1: 1}
+    assert multiplicity_factors(gens, 0b1100) == {1: 1}
 
 
 def test_triangle_generators_stress_case():
     # three pairwise-overlapping generators: the all-ones degree carries
     # multiplicity two, pinned independently by the Hochster side below
-    p = scan_powerset((0b011, 0b110, 0b101), 3)
-    assert multiplicity_factors(p, 0b111) == {2: 2}
+    gens = (0b011, 0b110, 0b101)
+    assert multiplicity_factors(gens, 0b111) == {2: 2}
     for single in (0b011, 0b110, 0b101):
-        assert multiplicity_factors(p, single) == {1: 1}
+        assert multiplicity_factors(gens, single) == {1: 1}
 
 
 def test_tables_assemble_sparsely():
-    p = scan_powerset((0b111,), 3)
-    assert multiplicity_table(p) == {0: {0: 1}, 0b111: {1: 1}}
+    assert lattice_table((0b111,), 3) == {0: {0: 1}, 0b111: {1: 1}}
 
 
 def test_factor_range_bounds():
@@ -62,10 +66,9 @@ def test_factor_range_bounds():
     for _ in range(25):
         n = rng.randint(2, 7)
         gens = sorted({rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))})
-        p = scan_powerset(gens, n)
-        for deg in p.degrees():
+        for deg in scan_powerset(gens, n).degrees():
             size = bin(deg).count("1")
-            for r, beta in multiplicity_factors(p, deg).items():
+            for r, beta in multiplicity_factors(gens, deg).items():
                 assert beta > 0
                 assert 0 <= r <= size
 
@@ -76,21 +79,43 @@ def hochster_side(model, deg):
     return {size - j - 1: h for j, h in dims.items()}
 
 
-def test_hochster_agreement_on_bundled_models():
-    for name in ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3"):
-        model = load_bundled(name)
-        p = scan_powerset(model.sr_generators, model.n)
-        for deg in p.degrees():
-            assert multiplicity_factors(p, deg) == hochster_side(model, deg), (name, deg)
+def sr_hochster(gens, n):
+    """{D: factors} on every subset D, by Hochster's formula on the
+    Stanley-Reisner complex {s : no generator inside s}, built face by face."""
+    delta = FaceSet(n, [s for s in range(1 << n) if all(g & ~s for g in gens)])
+    out = {}
+    for deg in range(1 << n):
+        dims = reduced_homology(restrict(delta, deg))
+        out[deg] = {deg.bit_count() - j - 1: h for j, h in dims.items()}
+    return out
 
 
-def test_vanishing_outside_degree_set():
+def check_every_subset(gens, n):
+    """The total function against Hochster on every subset; {} off the lattice."""
+    lattice = scan_powerset(gens, n)
+    for deg, expected in sr_hochster(gens, n).items():
+        factors = multiplicity_factors(gens, deg)
+        assert factors == expected, (gens, deg)
+        assert deg in lattice or factors == {}, (gens, deg)
+
+
+def test_hochster_on_every_subset_of_bundled_models():
+    # the vanishing theorem through the total function: off the lattice the
+    # factors read {} and so does Hochster, on the fan complex as well
     for name in ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3"):
         model = load_bundled(name)
-        p = scan_powerset(model.sr_generators, model.n)
+        check_every_subset(model.sr_generators, model.n)
         for deg in range(1 << model.n):
-            if deg not in p:
-                assert hochster_side(model, deg) == {}, (name, deg)
+            assert multiplicity_factors(model.sr_generators, deg) == hochster_side(model, deg), (name, deg)
+
+
+def test_hochster_on_every_subset_of_random_antichains():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        drawn = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 7))}
+        antichain = sorted(g for g in drawn if not any(h != g and h & g == h for h in drawn))
+        check_every_subset(antichain, n)
 
 
 def test_symmetry_consequence_of_dual_filter():
@@ -100,15 +125,14 @@ def test_symmetry_consequence_of_dual_filter():
         p = scan_powerset(model.sr_generators, model.n)
         contributing = set(contributing_degrees(p))
         for deg in p.degrees():
-            if multiplicity_factors(p, deg):
+            if multiplicity_factors(model.sr_generators, deg):
                 assert deg in contributing, (name, deg)
 
 
 def test_equals_gamma_reference_on_bundled_models():
     for name in ("P2", "P1xP1", "P1xP1xP1", "F1", "dP3"):
         model = load_bundled(name)
-        p = scan_powerset(model.sr_generators, model.n)
-        table = multiplicity_table(p)
+        table = lattice_table(model.sr_generators, model.n)
         assert table == gamma_factor_table(model.sr_generators, model.n), name
 
 
@@ -127,19 +151,20 @@ def test_products_compute_each_component_once(factor, monkeypatch):
     monkeypatch.setattr(multiplicity, "reduced_homology", counted)
     dp3 = load_bundled("dP3")
     model = product_model(dp3, P1 if factor == "P1" else load_bundled(factor))
-    p = scan_powerset(model.sr_generators, model.n)
-    table = multiplicity_table(p)
+    table = lattice_table(model.sr_generators, model.n)
     assert len(calls) == 36
     assert table == gamma_factor_table(model.sr_generators, model.n)
     calls.clear()
-    multiplicity_table(scan_powerset(dp3.sr_generators, dp3.n))
+    lattice_table(dp3.sr_generators, dp3.n)
     assert len(calls) == 36
 
 
 def test_degree_outside_the_lattice_rejected():
-    p = scan_powerset((0b011, 0b110), 3)
-    with pytest.raises(ValueError, match="not in"):
-        multiplicity_factors(p, 0b001)
+    # 0b001 is no union of generators: x1 lies in none inside it, so it is
+    # a cone apex and the factors are zero, read as {} rather than refused
+    gens = (0b011, 0b110)
+    assert multiplicity_factors(gens, 0b001) == {}
+    assert multiplicity_table(gens, [0b001, 0b011]) == {0b001: {}, 0b011: {1: 1}}
 
 
 @pytest.mark.parametrize("name, gens, n, top", [
@@ -150,8 +175,7 @@ def test_degree_outside_the_lattice_rejected():
 ])
 def test_large_tables_are_fast(name, gens, n, top):
     start = time.perf_counter()
-    p = scan_powerset(gens, n)
-    table = multiplicity_table(p)
+    table = lattice_table(gens, n)
     elapsed = time.perf_counter() - start
     assert len(table) == 2 ** len(gens)
     assert table[(1 << n) - 1] == top
@@ -161,8 +185,7 @@ def test_large_tables_are_fast(name, gens, n, top):
 @pytest.mark.parametrize("gaps", [[], [0], [1], [0, 2], [0, 1], [0, 2, 4], [0, 0, 0], [1, 3, 0]])
 def test_equals_gamma_reference_on_polygon_fans(gaps):
     model = polygon_model(polygon_rays(gaps))
-    p = scan_powerset(model.sr_generators, model.n)
-    table = multiplicity_table(p)
+    table = lattice_table(model.sr_generators, model.n)
     assert table == gamma_factor_table(model.sr_generators, model.n)
 
 
@@ -185,8 +208,7 @@ def test_overlapping_large_generators_are_fast(case):
     # generators is used
     gens, n = case()
     start = time.perf_counter()
-    p = scan_powerset(gens, n)
-    table = multiplicity_table(p)
+    table = lattice_table(gens, n)
     assert time.perf_counter() - start < 1.0
     assert table == gamma_factor_table(gens, n)
 
@@ -195,10 +217,10 @@ def test_face_bound():
     # the twelve cyclic 6-windows of a 12-cycle: twelve classes, twelve
     # generators, and more than MAX_FACES faces either way
     gens = [sum(1 << (i + k) % 12 for k in range(6)) for i in range(12)]
-    p = scan_powerset(gens, 12)
+    degrees = scan_powerset(gens, 12).degrees()
     start = time.perf_counter()
     with pytest.raises(ModelError, match=f"more than {MAX_FACES} faces"):
-        multiplicity_table(p)
+        multiplicity_table(gens, degrees)
     assert time.perf_counter() - start < 5.0
 
 
@@ -212,12 +234,12 @@ def test_vertex_classes_merge():
     def double(mask):
         return sum(3 << 2 * v for v in range(model.n) if mask >> v & 1)
 
-    heptagon = scan_powerset(model.sr_generators, model.n)
-    doubled = scan_powerset([double(g) for g in model.sr_generators], 2 * model.n)
+    doubled = [double(g) for g in model.sr_generators]
+    degrees = scan_powerset(doubled, 2 * model.n).degrees()
     start = time.perf_counter()
-    table = multiplicity_table(doubled)
+    table = multiplicity_table(doubled, degrees)
     assert time.perf_counter() - start < 1.0
-    expected = multiplicity_table(heptagon)
+    expected = lattice_table(model.sr_generators, model.n)
     assert table == {double(d): f for d, f in expected.items()}
 
 
@@ -242,7 +264,7 @@ def test_factor_complexes_are_built_closed(monkeypatch):
         antichain = sorted(g for g in drawn if not any(h != g and h & g == h for h in drawn))
         cases.append((antichain, n))
     for gens, n in cases:
-        multiplicity_table(scan_powerset(gens, n))
+        lattice_table(gens, n)
     assert len(built) > 200
     for delta in built:
         assert FaceSet(delta.vertex_count, delta.faces).is_subset_closed, delta

@@ -248,7 +248,7 @@ def gamma_factor_table(generators, n) -> dict[int, dict[int, int]]:
 def contributing_degrees(degree_set) -> list[int]:
     """Lattice degrees whose complement degree is in the lattice too (the dual-degree filter)."""
     full = (1 << degree_set.n) - 1
-    return sorted(deg for deg in degree_set.entries if full ^ deg in degree_set.entries)
+    return [deg for deg in degree_set.degrees() if full ^ deg in degree_set]
 
 
 def minimal_nonfaces(cones, n) -> list[int]:
