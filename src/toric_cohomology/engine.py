@@ -10,7 +10,7 @@ term surfaces as a hard error instead of being silently dropped.
 
 The engine only sums, through `NegGroupCounter.dims`, the one loop that
 turns counts into an h-vector.  `terms` feeds it (degree, weights into
-h^0..h^d), built and range-checked once per model; the fan oracle feeds
+h^0..h^d), built once per model; the fan oracle feeds
 it its own.  `dims` counts only the terms that the class's kill mask
 leaves alive, from a list kept per term list and kill mask, so classes
 that share a mask share the scan.  A `CohomologyResult` keeps its engine
@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Sequence
 
 from .counting import CountResult, NegGroupCounter
-from .errors import NonFiniteCohomologyError
 from .model import DivisorClass, ToricVarietyModel, canonical_class
 from .multiplicity import multiplicity_table
 from .srscan import DegreeSet, scan_powerset
@@ -109,20 +108,14 @@ class CohomologyEngine:
     def terms(self) -> list[tuple[int, tuple[int, ...]]]:
         """(degree, weights into h^0..h^d) per table degree with nonzero factors.
 
-        Beta at r weights h^(|degree| - r); an index outside 0..d raises
-        `NonFiniteCohomologyError`.
+        Beta at r weights h^(|degree| - r), in 0..d as every maximal face has d vertices.
         """
         d = self.model.dim
         terms = []
         for deg, factors in self.table.items():
             weights = [0] * (d + 1)
             for r, beta in factors.items():
-                i = deg.bit_count() - r
-                if not 0 <= i <= d:
-                    raise NonFiniteCohomologyError(
-                        f"multiplicity factor lands outside cohomological range (i={i})"
-                    )
-                weights[i] = beta
+                weights[deg.bit_count() - r] = beta
             if factors:
                 terms.append((deg, tuple(weights)))
         return terms
@@ -131,7 +124,7 @@ class CohomologyEngine:
         """h^0..h^d of the line bundle selected by alpha.
 
         Raises `NonFiniteCohomologyError` when a degree with nonzero factors
-        has an infinite neg-group or a factor outside 0..d.
+        has an infinite neg-group.
         """
         alpha = tuple(alpha)
         return CohomologyResult(alpha, self.counter.dims(alpha, self.terms), self)

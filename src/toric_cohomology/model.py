@@ -2,8 +2,8 @@
 
 The input datum is the charge matrix (one row of GLSM charges per
 homogeneous coordinate) together with the combinatorics of the fan, given
-either as Stanley-Reisner generator supports, as maximal cones, or both.
-Ray coordinates are never needed.
+either as Stanley-Reisner generator supports, as maximal cones, or both;
+the two are Alexander duals.  Ray coordinates are never needed.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class ToricVarietyModel:
     """Immutable description of a simplicial projective toric variety.
 
     Vertex subsets (generator supports, maximal cones) are bitmasks over the
-    coordinates, 0-based internally.  `sr_generators=None` means "derive
-    them from `max_cones`"; validation derives them once.
+    coordinates, 0-based internally.  Validation derives a None `max_cones`
+    or `sr_generators` from the other, so every built model holds both.
     """
 
     coordinate_names: tuple[str, ...]
@@ -125,57 +125,46 @@ class ToricVarietyModel:
                 raise ModelError("empty Stanley-Reisner generator support")
             if g & ~full:
                 raise ModelError("Stanley-Reisner generator outside coordinate range")
-        if cones is None:
-            pair = _contained_pair(gens)
-            if pair:
-                g, h = pair
-                raise ModelError(
-                    f"non-minimal generating set: {set(to_1based(g))} vs {set(to_1based(h))}"
-                )
-            return
-
-        for c in cones:
+        for c in cones or ():
             if bin(c).count("1") != self.dim:
                 raise ModelError(
                     f"maximal cone {set(to_1based(c))} does not have {self.dim} vertices"
                 )
             if c & ~full:
                 raise ModelError("maximal cone outside coordinate range")
-            for g in gens:
-                if g & c == g:
-                    raise ModelError(
-                        f"Stanley-Reisner generator {set(to_1based(g))} "
-                        f"is a face of cone {set(to_1based(c))}"
-                    )
-        # the derived set is minimal, so equality with it implies minimality
+        if cones is None:
+            # maximal faces: complements of the minimal sets meeting all generators ([0] if none)
+            try:
+                dual = sr_from_max_cones([full ^ g for g in gens], n) if gens else [0]
+            except ModelError:
+                raise ModelError(f"sr_ideal: the face derivation passed {MAX_DEGREES} sets") from None
+            cones = tuple(sorted(full ^ t for t in dual))
+        # the derived set is minimal, so equality with it implies minimality;
+        # from the generators' own faces it is their distinct minimal sets
         derived = tuple(sorted(sr_from_max_cones(cones, n)))
         if self.sr_generators is None:
             object.__setattr__(self, "sr_generators", derived)
         elif derived != self.sr_generators:
+            i = next((i for i, g in enumerate(derived) if gens[i:i + 1] != (g,)), len(derived))
+            first = min(gens[i:i + 1] + derived[i:i + 1])
+            if self.max_cones is not None:
+                raise ModelError(
+                    "Stanley-Reisner generators inconsistent with maximal cones: "
+                    f"the lists first differ at {set(to_1based(first))}"
+                )
+            g = next(g for g in derived if g & first == g)
             raise ModelError(
-                "Stanley-Reisner generators inconsistent with maximal cones: "
-                f"derived {[set(to_1based(g)) for g in derived]}"
+                f"non-minimal generating set: {set(to_1based(g))} vs {set(to_1based(first))}"
             )
-
-
-def _contained_pair(gens: Sequence[int]) -> tuple[int, int] | None:
-    """Some g, h of the sorted `gens` with g inside h (g first), or None.
-
-    Only an equal or a smaller set fits inside h.  Equal sets are neighbours
-    in the sorted list, so h is compared with the strictly smaller ones only.
-    """
-    for g, h in zip(gens, gens[1:]):
-        if g == h:
-            return g, h
-    by_size = sorted(gens, key=int.bit_count)
-    smaller: list[int] = []
-    for i, h in enumerate(by_size):
-        if i and h.bit_count() > by_size[i - 1].bit_count():
-            smaller = by_size[:i]
-        for g in smaller:
-            if g & h == g:
-                return g, h
-    return None
+        if self.max_cones is None:
+            # checked after minimality, which names a fault of the list as given
+            for c in cones:
+                if bin(c).count("1") != self.dim:
+                    raise ModelError(
+                        f"sr_ideal: maximal face {set(to_1based(c))} "
+                        f"does not have {self.dim} vertices"
+                    )
+            object.__setattr__(self, "max_cones", cones)
 
 
 def canonical_class(model: ToricVarietyModel) -> DivisorClass:
@@ -203,8 +192,8 @@ def parse_variety(text: str) -> ToricVarietyModel:
           "sr_ideal":  [[1-based vertex indices], ...]   (optional),
           "max_cones": [[1-based vertex indices], ...]   (optional) }
 
-    At least one of sr_ideal / max_cones is required; when only max_cones is
-    given the Stanley-Reisner generators are derived from them.
+    At least one of sr_ideal / max_cones is required; a missing one is
+    derived from the other (see ToricVarietyModel).
     """
     try:
         doc = json.loads(text)

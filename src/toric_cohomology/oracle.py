@@ -34,9 +34,7 @@ MAX_SCAN_VERTICES = 20
 
 
 def fan_complex(model: ToricVarietyModel) -> FaceSet:
-    """Downward closure of the maximal cones, with the empty face included."""
-    if model.max_cones is None:
-        raise ModelError("fan data (max_cones) absent")
+    """Downward closure of the maximal cones (given or derived), with the empty face included."""
     return FaceSet.closure(model.n, model.max_cones)
 
 

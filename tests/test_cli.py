@@ -18,7 +18,7 @@ from toric_cohomology import engine
 from toric_cohomology.cli import build_parser, main, parse_box_spec, parse_class_spec, run
 from toric_cohomology.errors import ModelError
 
-from util import k_pairs_doc
+from util import fan_document, k_pairs_doc, polygon_model, polygon_rays
 
 DATA = resources.files("toric_cohomology") / "data"
 REPO = Path(__file__).resolve().parents[1]
@@ -282,15 +282,40 @@ def test_receding_fiber_without_rational_points(tmp_path):
 
 @pytest.mark.parametrize("spec", ["0,0", "1,2", "-3,-1", "5,-5"])
 def test_factor_outside_cohomological_range_exits_2(spec, tmp_path):
-    # the lcm lattice is {1, x1 x2 x3 x4}, and the full degree's factor
-    # sits at r = 1, so it weighs into h^(4 - 1) = h^3 of a surface
+    # the lcm lattice would be {1, x1 x2 x3 x4}, with the full degree's
+    # factor at r = 1, weighing into h^(4 - 1) = h^3 of a surface; but the
+    # maximal faces are the four 3-subsets, so the input is refused first
     model = {"coordinates": ["x1", "x2", "x3", "x4"], "dimension": 2,
              "charges": [[1, 0], [1, 0], [1, 1], [0, 1]], "sr_ideal": [[1, 2, 3, 4]]}
     path = tmp_path / "sr_only.json"
     path.write_text(json.dumps(model))
     code, out, err = invoke([str(path), f"--class={spec}"])
-    assert (code, out) == (2, "")
-    assert err == "error: multiplicity factor lands outside cohomological range (i=3)\n"
+    assert (code, out) == (1, "")
+    assert err == "error: sr_ideal: maximal face {1, 2, 3} does not have 2 vertices\n"
+
+
+@pytest.mark.parametrize("charges, sr_ideal, spec, face", [
+    ([[1], [1], [1]], [], "-3", "{1, 2, 3}"),
+    ([[1, 0], [1, 0], [0, 1], [0, 1]], [[1, 2]], "-2,-2", "{1, 3, 4}"),
+], ids=["P2-no-generators", "P1xP1-one-generator"])
+def test_sr_only_document_that_is_not_a_fan_exits_1(charges, sr_ideal, spec, face, tmp_path):
+    # neither is a fan: the generators leave a 3-vertex maximal face
+    model = {"coordinates": [f"x{i + 1}" for i in range(len(charges))], "dimension": 2,
+             "charges": charges, "sr_ideal": sr_ideal}
+    path = tmp_path / "sr_only.json"
+    path.write_text(json.dumps(model))
+    assert invoke([str(path), f"--class={spec}"]) == (
+        1, "", f"error: sr_ideal: maximal face {face} does not have 2 vertices\n")
+
+
+def test_sr_only_document_runs_both_checks(tmp_path):
+    # the fan route reads the cones derived from the generators
+    model = {"coordinates": ["x1", "x2", "x3"], "dimension": 2,
+             "charges": [[1], [1], [1]], "sr_ideal": [[1, 2, 3]]}
+    path = tmp_path / "p2_sr_only.json"
+    path.write_text(json.dumps(model))
+    assert invoke([str(path), "--class=-3", "--oracle-check", "--serre-check"]) == (
+        0, "(-3): 0 0 1  [oracle PASS]  [serre PASS]\n", "")
 
 
 def test_dimension_equal_to_coordinate_count_exits_1(tmp_path):
@@ -337,21 +362,14 @@ def test_binary_model_file(tmp_path):
     assert code == 1 and out == "" and err.startswith("error: cannot read")
 
 
-def p1_power_doc(k):
-    """P1^k from Stanley-Reisner generators alone: 2^k lattice degrees."""
-    return {
-        "coordinates": [f"x{i + 1}" for i in range(2 * k)],
-        "dimension": k,
-        "charges": [[int(j == i // 2) for j in range(k)] for i in range(2 * k)],
-        "sr_ideal": [[2 * j + 1, 2 * j + 2] for j in range(k)],
-    }
-
-
 def test_lattice_over_the_bound_exits_1(tmp_path):
-    path = tmp_path / "p1_17.json"
-    path.write_text(json.dumps(p1_power_doc(17)))
+    # a 17-gon given by its cones: its 119 generators, the pairs of
+    # non-neighbouring rays, span more than 2^16 lattice degrees
+    model = polygon_model(polygon_rays(range(14)))
+    path = tmp_path / "polygon_17.json"
+    path.write_text(json.dumps(fan_document(model, "max_cones")))
     start = time.perf_counter()
-    code, out, err = invoke([str(path), "--class", ",".join(["0"] * 17)])
+    code, out, err = invoke([str(path), "--class", ",".join(["0"] * 15)])
     elapsed = time.perf_counter() - start
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "lcm lattice" in err
@@ -360,17 +378,12 @@ def test_lattice_over_the_bound_exits_1(tmp_path):
 
 
 def test_factor_complex_over_the_bound_exits_1(tmp_path):
-    # generators: the twelve cyclic 6-windows of a 12-cycle
-    doc = {
-        "coordinates": [f"x{i + 1}" for i in range(12)],
-        "dimension": 11,
-        "charges": [[1]] * 12,
-        "sr_ideal": [[(i + k) % 12 + 1 for k in range(6)] for i in range(12)],
-    }
-    path = tmp_path / "windows.json"
-    path.write_text(json.dumps(doc))
+    # a degree's factor complex, over some of the 64 generators, has more
+    # than 1,024 faces
+    path = tmp_path / "k_pairs_6.json"
+    path.write_text(json.dumps(k_pairs_doc(6)))
     start = time.perf_counter()
-    code, out, err = invoke([str(path), "--class", "0"])
+    code, out, err = invoke([str(path), "--class", "0,0"])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "faces" in err
     assert err.count("\n") == 1 and "Traceback" not in err

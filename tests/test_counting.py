@@ -50,7 +50,7 @@ from util import (
 RECEDING = {"coordinates": ["x1", "x2"], "dimension": 1,
              "charges": [[2], [0]], "sr_ideal": [[2]]}
 POINT = {"coordinates": ["x1", "x2"], "dimension": 0,
-         "charges": [[1, 0], [0, 1]], "sr_ideal": [[1, 2]]}
+         "charges": [[1, 0], [0, 1]], "sr_ideal": [[1], [2]]}
 P1 = ToricVarietyModel(("u", "v"), 1, ((1,), (1,)), (0b11,), (0b01, 0b10))
 
 

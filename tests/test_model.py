@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -15,7 +16,7 @@ from toric_cohomology import (
 )
 from toric_cohomology import model as model_module
 
-from util import k_pairs_doc, mask_of, minimal_nonfaces
+from util import fan_document, k_pairs_doc, mask_of, minimal_nonfaces, random_pure_model, unit_charges
 
 P2_DOC = {
     "coordinates": ["x1", "x2", "x3"],
@@ -37,7 +38,7 @@ class TestParse:
         m = parse_variety(json.dumps(P2_DOC))
         assert m.n == 3 and m.dim == 2 and m.t == 1
         assert m.sr_generators == (0b111,)
-        assert m.max_cones is None
+        assert m.max_cones == (0b011, 0b101, 0b110)
 
     def test_p1xp1(self):
         m = parse_variety(json.dumps(P1XP1_DOC))
@@ -209,22 +210,12 @@ class TestSrFromMaxCones:
         start = time.perf_counter()
         m = parse_variety(text)
         assert time.perf_counter() - start < 1.0
-        assert m.t == 1 << k and m.max_cones is None
+        full = (1 << 2 * k) - 1
+        assert m.t == 1 << k and m.max_cones == tuple(sorted(full ^ 3 << 2 * i for i in range(k)))
         # one smaller generator inside many of them is still named
         doc["sr_ideal"].append([1, 3])
         with pytest.raises(ModelError, match=r"non-minimal generating set: \{1, 3\} vs \{1, 3, "):
             parse_variety(json.dumps(doc))
-
-    def test_contained_pair_matches_all_pairs(self):
-        rng = random.Random(43)
-        for _ in range(500):
-            gens = sorted(rng.randrange(1, 64) for _ in range(rng.randint(0, 8)))
-            pair = model_module._contained_pair(gens)
-            found = any(g & h == g for i, g in enumerate(gens) for h in gens[i + 1:])
-            assert (pair is not None) == found, gens
-            if pair:
-                g, h = pair
-                assert g & h == g and gens.count(g) >= 1 + (g == h), gens
 
     def test_generator_list_over_the_bound(self):
         # refused before any per-generator check, in one line
@@ -284,6 +275,43 @@ class TestValidationInvariants:
             m = load_bundled(name)
             assert m.max_cones is not None
             assert tuple(sr_from_max_cones(m.max_cones, m.n)) == m.sr_generators
+
+
+class TestAlexanderDuality:
+    """Generators and maximal faces are derived from each other, and either one
+    given alone yields the same model."""
+
+    def test_cones_and_generators_parse_to_one_model(self):
+        rng = random.Random(53)
+        for _ in range(500):
+            model = random_pure_model(rng.randint(1, 8), rng)
+            for key in ("max_cones", "sr_ideal"):
+                assert parse_variety(json.dumps(fan_document(model, key))) == model, (model, key)
+
+    def test_contained_or_repeated_generators_refused(self):
+        names, charges = tuple(f"x{i + 1}" for i in range(6)), unit_charges(6, 2)
+        rng = random.Random(43)
+        for _ in range(500):
+            gens = sorted(rng.randrange(1, 64) for _ in range(rng.randint(0, 8)))
+            nested = any(g & h == g for i, g in enumerate(gens) for h in gens[i + 1:])
+            try:
+                ToricVarietyModel(names, 2, charges, tuple(gens))
+                message = ""
+            except ModelError as exc:
+                message = str(exc)
+            assert message.startswith("non-minimal generating set: ") == nested, (gens, message)
+            if nested:
+                # the two sets named are input generators, one inside the other
+                g, h = (mask_of(int(i) - 1 for i in re.findall(r"\d+", part))
+                        for part in message.split(": ")[1].split(" vs "))
+                assert g & h == g and g in gens and h in gens, (gens, message)
+                assert g != h or gens.count(g) > 1, (gens, message)
+
+    def test_no_generators_leave_the_full_simplex(self):
+        # its one maximal face has n vertices, and the dimension is below n
+        message = r"^sr_ideal: maximal face \{1, 2, 3\} does not have 2 vertices$"
+        with pytest.raises(ModelError, match=message):
+            ToricVarietyModel(("x1", "x2", "x3"), 2, ((1,), (1,), (1,)), ())
 
 
 class TestCanonicalClass:

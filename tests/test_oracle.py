@@ -63,14 +63,14 @@ class TestFanComplex:
             (), (0,), (0, 1), (0, 2), (1,), (1, 2), (2,),
         ]
 
-    def test_no_fan_data_rejected(self):
+    def test_sr_only_fan_complex_is_sr_complex(self):
+        # the cones derived from the generators close to the sets holding none
         m = ToricVarietyModel(
-            ("x1", "x2", "x3"), 2, ((1,), (1,), (1,)), (0b111,), None
+            ("x1", "x2", "y1", "y2"), 2, ((1, 0), (1, 0), (0, 1), (0, 1)), (0b0011, 0b1100), None
         )
-        with pytest.raises(ModelError, match="max_cones"):
-            fan_complex(m)
-        with pytest.raises(ModelError, match="max_cones"):
-            FanOracle(CohomologyEngine(m))
+        faces = {s for s in range(16) if not any(g & s == g for g in m.sr_generators)}
+        assert fan_complex(m).faces == faces
+        assert FanOracle(CohomologyEngine(m)).hochster_check().ok
 
 
 class TestRestrictionHomology:

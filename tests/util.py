@@ -274,6 +274,50 @@ def k_pairs_doc(k: int) -> dict:
     }
 
 
+def fan_document(model, key: str) -> dict:
+    """The input document of `model` with its fan under `key` alone:
+    "sr_ideal" for the generators, "max_cones" for the cones."""
+    masks = model.sr_generators if key == "sr_ideal" else model.max_cones
+    return {
+        "coordinates": list(model.coordinate_names),
+        "dimension": model.dim,
+        "charges": [list(row) for row in model.charges],
+        key: [[i + 1 for i in bits(m)] for m in masks],
+    }
+
+
+def unit_charges(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """A charge matrix of rank n - d: the unit rows, then zero rows."""
+    return tuple(tuple(int(i == j) for j in range(n - d)) for i in range(n))
+
+
+def random_pure_model(n: int, rng) -> ToricVarietyModel:
+    """A model on n coordinates whose cones, and so every maximal face, are
+    one to six random d-subsets, d in 0..n-1; the charges are `unit_charges`."""
+    d = rng.randrange(n)
+    cones = {mask_of(rng.sample(range(n), d)) for _ in range(rng.randint(1, 6))}
+    return ToricVarietyModel(tuple(f"x{i + 1}" for i in range(n)), d, unit_charges(n, d),
+                             max_cones=tuple(cones))
+
+
+def nonsmooth_polygon_rays(rng, extra: int):
+    """Rays of a complete simplicial polygon fan that is not smooth, in cyclic order.
+
+    P2's rays plus `extra` random primitive vectors of [-4, 4]^2 (some may
+    be P2's own), redrawn until two neighbouring rays span a cone of
+    determinant > 1.  P2's rays
+    leave no gap of half a turn, so neighbours always span a strictly
+    convex cone.
+    """
+    box = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if math.gcd(x, y) == 1]
+    while True:
+        rays = sorted({(1, 0), (0, 1), (-1, -1), *rng.sample(box, extra)},
+                      key=lambda v: math.atan2(v[1], v[0]))
+        dets = [a[0] * b[1] - a[1] * b[0] for a, b in zip(rays, rays[1:] + rays[:1])]
+        if max(dets) > 1:
+            return rays
+
+
 def polygon_rays(gaps):
     """Rays of a complete smooth fan: P2's, blown up once per entry of `gaps`.
 
