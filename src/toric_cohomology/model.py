@@ -3,7 +3,10 @@
 The input datum is the charge matrix (one row of GLSM charges per
 homogeneous coordinate) together with the combinatorics of the fan, given
 either as Stanley-Reisner generator supports, as maximal cones, or both;
-the two are Alexander duals.  Ray coordinates are never needed.
+the two are Alexander duals.  Ray coordinates are never needed.  A
+document runs Berge's step (`sr_from_max_cones`) once: on the cones when
+they are given, and otherwise on the generators' complements, to derive
+the maximal faces.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ class ToricVarietyModel:
     Vertex subsets (generator supports, maximal cones) are bitmasks over the
     coordinates, 0-based internally.  Validation derives a None `max_cones`
     or `sr_generators` from the other, so every built model holds both.
+
+    Given cones, each with `dim` vertices and none listed twice, yield the
+    generators, which must equal any given ones.  Given generators alone
+    yield the maximal faces, which must have `dim` vertices each.  Deriving
+    the generators back from those faces would give the distinct minimal
+    given generators, since the blocker of the blocker of a family is its
+    minimal sets (Edmonds-Fulkerson); so instead of that second pass the
+    given list is checked for a generator that repeats or contains another.
     """
 
     coordinate_names: tuple[str, ...]
@@ -132,39 +143,49 @@ class ToricVarietyModel:
                 )
             if c & ~full:
                 raise ModelError("maximal cone outside coordinate range")
-        if cones is None:
-            # maximal faces: complements of the minimal sets meeting all generators ([0] if none)
-            try:
-                dual = sr_from_max_cones([full ^ g for g in gens], n) if gens else [0]
-            except ModelError:
-                raise ModelError(f"sr_ideal: the face derivation passed {MAX_DEGREES} sets") from None
-            cones = tuple(sorted(full ^ t for t in dual))
-        # the derived set is minimal, so equality with it implies minimality;
-        # from the generators' own faces it is their distinct minimal sets
-        derived = tuple(sorted(sr_from_max_cones(cones, n)))
-        if self.sr_generators is None:
-            object.__setattr__(self, "sr_generators", derived)
-        elif derived != self.sr_generators:
-            i = next((i for i, g in enumerate(derived) if gens[i:i + 1] != (g,)), len(derived))
-            first = min(gens[i:i + 1] + derived[i:i + 1])
-            if self.max_cones is not None:
+        if cones is not None:
+            # cones have d vertices each, so one inside another is a repeat
+            if len(set(cones)) != len(cones):
+                c = next(a for a, b in zip(cones, cones[1:]) if a == b)
+                raise ModelError(f"maximal cone {set(to_1based(c))} is listed twice")
+            derived = tuple(sorted(sr_from_max_cones(cones, n)))
+            if self.sr_generators is None:
+                object.__setattr__(self, "sr_generators", derived)
+            elif derived != self.sr_generators:
+                i = next((i for i, g in enumerate(derived) if gens[i:i + 1] != (g,)), len(derived))
+                first = min(gens[i:i + 1] + derived[i:i + 1])
                 raise ModelError(
                     "Stanley-Reisner generators inconsistent with maximal cones: "
                     f"the lists first differ at {set(to_1based(first))}"
                 )
-            g = next(g for g in derived if g & first == g)
-            raise ModelError(
-                f"non-minimal generating set: {set(to_1based(g))} vs {set(to_1based(first))}"
-            )
-        if self.max_cones is None:
-            # checked after minimality, which names a fault of the list as given
-            for c in cones:
-                if bin(c).count("1") != self.dim:
-                    raise ModelError(
-                        f"sr_ideal: maximal face {set(to_1based(c))} "
-                        f"does not have {self.dim} vertices"
-                    )
-            object.__setattr__(self, "max_cones", cones)
+            return
+        # maximal faces: complements of the minimal sets meeting all generators ([0] if none)
+        try:
+            dual = sr_from_max_cones([full ^ g for g in gens], n) if gens else [0]
+        except ModelError:
+            raise ModelError(f"sr_ideal: the face derivation passed {MAX_DEGREES} sets") from None
+        # by blocker duality these faces' generators are the given ones unless
+        # one repeats or contains another, which has fewer vertices and sorts
+        # before it; the first fault names the smallest generator inside it
+        by_size: dict[int, list[int]] = {}
+        for i, h in enumerate(gens):
+            size = h.bit_count()
+            inside = [g for s, gs in by_size.items() if s < size for g in gs if g & h == g]
+            if inside or gens[i - 1:i] == (h,):
+                g = min(inside, default=h)
+                raise ModelError(
+                    f"non-minimal generating set: {set(to_1based(g))} vs {set(to_1based(h))}"
+                )
+            by_size.setdefault(size, []).append(h)
+        # checked after minimality, which names a fault of the list as given
+        cones = tuple(sorted(full ^ t for t in dual))
+        for c in cones:
+            if bin(c).count("1") != self.dim:
+                raise ModelError(
+                    f"sr_ideal: maximal face {set(to_1based(c))} "
+                    f"does not have {self.dim} vertices"
+                )
+        object.__setattr__(self, "max_cones", cones)
 
 
 def canonical_class(model: ToricVarietyModel) -> DivisorClass:

@@ -199,8 +199,10 @@ NAMES_64 = [f"x{i}" for i in range(1, 65)]
     (dict(P2_DOC, charges=[[1], [1]]), "expected 3 charge rows, got 2"),
     (dict(P2_DOC, sr_ideal=[[]]), "empty Stanley-Reisner generator support"),
     ({k: v for k, v in P2_DOC.items() if k != "sr_ideal"}, "are required"),
+    (dict(P2_DOC, max_cones=[[2, 3], [1, 2], [1, 3], [2, 3]]),
+     "maximal cone {2, 3} is listed twice"),
 ], ids=["no-coordinates", "64-coordinates", "duplicate-names", "charge-rows",
-        "empty-generator", "no-fan-data"])
+        "empty-generator", "no-fan-data", "repeated-cone"])
 def test_input_error_exits_1(doc, message, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))

@@ -1,6 +1,5 @@
 import json
 import random
-import re
 import time
 
 import pytest
@@ -15,6 +14,7 @@ from toric_cohomology import (
     sr_from_max_cones,
 )
 from toric_cohomology import model as model_module
+from toric_cohomology._bits import to_1based
 
 from util import fan_document, k_pairs_doc, mask_of, minimal_nonfaces, random_pure_model, unit_charges
 
@@ -130,7 +130,9 @@ class TestParse:
         m = parse_variety(json.dumps(doc))
         assert m.sr_generators == (0b111,)
 
-    def test_cones_only_document_derives_once(self, monkeypatch):
+    @pytest.mark.parametrize("keys", [("max_cones",), ("sr_ideal",), ("sr_ideal", "max_cones")],
+                             ids=["cones-only", "sr-only", "both-given"])
+    def test_each_document_derives_once(self, keys, monkeypatch):
         calls = []
 
         def counted(cones, n):
@@ -138,9 +140,11 @@ class TestParse:
             return sr_from_max_cones(cones, n)
 
         monkeypatch.setattr(model_module, "sr_from_max_cones", counted)
-        doc = {k: v for k, v in P1XP1_DOC.items() if k != "sr_ideal"}
-        doc["max_cones"] = [[1, 3], [1, 4], [2, 3], [2, 4]]
-        assert parse_variety(json.dumps(doc)).sr_generators == (0b0011, 0b1100)
+        doc = dict(P1XP1_DOC, max_cones=[[1, 3], [1, 4], [2, 3], [2, 4]])
+        doc = {k: v for k, v in doc.items() if k in keys or k not in ("sr_ideal", "max_cones")}
+        m = parse_variety(json.dumps(doc))
+        assert m.sr_generators == (0b0011, 0b1100)
+        assert m.max_cones == (0b0101, 0b0110, 0b1001, 0b1010)
         assert calls == [4]
 
     def test_model_needs_generators_or_cones(self):
@@ -217,6 +221,21 @@ class TestSrFromMaxCones:
         with pytest.raises(ModelError, match=r"non-minimal generating set: \{1, 3\} vs \{1, 3, "):
             parse_variety(json.dumps(doc))
 
+    def test_sr_only_p2_power_parses_quickly(self):
+        # one Berge pass to the 3^10 maximal faces, none back to the generators
+        k = 10
+        doc = {
+            "coordinates": [f"x{i + 1}" for i in range(3 * k)],
+            "dimension": 2 * k,
+            "charges": [[int(i // 3 == j) for j in range(k)] for i in range(3 * k)],
+            "sr_ideal": [[3 * i + 1, 3 * i + 2, 3 * i + 3] for i in range(k)],
+        }
+        text = json.dumps(doc)
+        start = time.perf_counter()
+        m = parse_variety(text)
+        assert time.perf_counter() - start < 0.4
+        assert m.t == k and len(m.max_cones) == 3 ** k
+
     def test_generator_list_over_the_bound(self):
         # refused before any per-generator check, in one line
         with pytest.raises(ModelError, match="^65537 Stanley-Reisner generators, more than 65536$"):
@@ -238,6 +257,13 @@ class TestValidationInvariants:
             ToricVarietyModel(
                 ("x1", "x2", "x3"), 2, ((1,), (1,), (1,)),
                 (0b011,), (0b011, 0b101),
+            )
+
+    def test_repeated_cone_refused(self):
+        # kept, it would make the model unequal to the same fan listed once
+        with pytest.raises(ModelError, match=r"^maximal cone \{2, 3\} is listed twice$"):
+            ToricVarietyModel(
+                ("x1", "x2", "x3"), 2, ((1,), (1,), (1,)), None, (0b011, 0b101, 0b110, 0b110),
             )
 
     def test_cone_size_must_match_dimension(self):
@@ -293,19 +319,19 @@ class TestAlexanderDuality:
         rng = random.Random(43)
         for _ in range(500):
             gens = sorted(rng.randrange(1, 64) for _ in range(rng.randint(0, 8)))
-            nested = any(g & h == g for i, g in enumerate(gens) for h in gens[i + 1:])
+            # the first generator that repeats or contains an earlier one, and
+            # the smallest earlier one inside it
+            pair = next(((g, h) for i, h in enumerate(gens) for g in gens[:i] if g & h == g), None)
             try:
                 ToricVarietyModel(names, 2, charges, tuple(gens))
                 message = ""
             except ModelError as exc:
                 message = str(exc)
-            assert message.startswith("non-minimal generating set: ") == nested, (gens, message)
-            if nested:
-                # the two sets named are input generators, one inside the other
-                g, h = (mask_of(int(i) - 1 for i in re.findall(r"\d+", part))
-                        for part in message.split(": ")[1].split(" vs "))
-                assert g & h == g and g in gens and h in gens, (gens, message)
-                assert g != h or gens.count(g) > 1, (gens, message)
+            if pair:
+                g, h = (set(to_1based(m)) for m in pair)
+                assert message == f"non-minimal generating set: {g} vs {h}", (gens, message)
+            else:
+                assert not message.startswith("non-minimal"), (gens, message)
 
     def test_no_generators_leave_the_full_simplex(self):
         # its one maximal face has n vertices, and the dimension is below n
