@@ -71,10 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits, with surrounding spaces; int()
+    alone also reads 1_0 as 10 and other scripts' digits.  ValueError else."""
+    s = text.strip()
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(s)
+
+
 def parse_class_spec(spec: str, k: int) -> tuple[int, ...]:
-    parts = [s.strip() for s in spec.split(",")]
     try:
-        alpha = tuple(int(s) for s in parts)
+        alpha = tuple(_integer(s) for s in spec.split(","))
     except ValueError:
         raise ModelError(f"bad divisor class {spec!r}: entries must be integers")
     if len(alpha) != k:
@@ -91,7 +100,7 @@ def parse_box_spec(spec: str, k: int) -> list[tuple[int, ...]]:
         if not sep:
             raise ModelError(f"bad box range {part!r}: expected LO..HI")
         try:
-            lo_i, hi_i = int(lo), int(hi)
+            lo_i, hi_i = _integer(lo), _integer(hi)
         except ValueError:
             raise ModelError(f"bad box range {part!r}: bounds must be integers")
         if lo_i > hi_i:

@@ -13,12 +13,15 @@ and whether it recedes (Stiemke's lemma: the circuits that fit sigma
 leave a coordinate uncovered); a receding fiber with a point is infinite.
 Both tests rest on the conformal decomposition into circuits (Rockafellar
 1969).  Fourier-Motzkin elimination only builds the levels of the fibers
-left, which have rational points and do not recede.  A count walks such a
-fiber over all but its last two kernel coordinates and sums
-those two in closed form: per value of the second-to-last, the integer
-range of the last is floor(min of upper lines) - ceil(max of lower lines)
-+ 1, summed piecewise with a floor sum.  `enumerate` (and through it
-`--breakdown`) walks every point instead, and is the count's reference.
+left, which have rational points and do not recede; the last
+elimination only bounds y_0, so it keeps one coefficient per row.  A
+count walks such a fiber over all but its last two kernel coordinates
+and sums those two: per value of the second-to-last, the integer range
+of the last is floor(min of upper lines) - ceil(max of lower lines) + 1.
+A range with fewer values than lines is summed value by value, a longer
+one piecewise with a floor sum, so its cost does not grow with its
+length.  `enumerate` (and through it `--breakdown`) walks every point
+instead, and is the count's reference.
 
 A `NegGroupCounter` holds one model's kernel basis, its circuits and its
 memos: recession and fit mask per sigma, base point and kill mask per
@@ -176,10 +179,31 @@ def _first_var_range(rows, prefix):
 
 
 def _levels(rows, nvars):
-    """The Fourier-Motzkin levels of a non-receding system: levels[k] holds the rows over y_0..y_k."""
+    """The Fourier-Motzkin levels of a non-receding system: levels[k] holds the rows over y_0..y_k.
+
+    Only the bounds on y_0 are read from level 0, so the step that
+    eliminates y_1 keeps one coefficient per row and neither reduces nor
+    dedupes them.
+    """
     levels = [rows]
-    for var in range(nvars - 1, 0, -1):
+    for var in range(nvars - 1, 1, -1):
         levels.append(_fm_eliminate(levels[-1], var))
+    if nvars > 1:
+        pos, neg, last = [], [], []
+        for co, rhs in levels[-1]:
+            a = co[1]
+            if a > 0:
+                pos.append((co, rhs))
+            elif a < 0:
+                neg.append((co, rhs))
+            else:
+                last.append(((co[0],), rhs))
+        for cp, rp in pos:
+            ap = cp[1]
+            for cn, rn in neg:
+                an = -cn[1]
+                last.append(((an * cp[0] + ap * cn[0],), an * rp + ap * rn))
+        levels.append(last)
     return levels[::-1]
 
 
@@ -261,7 +285,9 @@ def _count_last_two(rows, prefix, lo, hi) -> int:
     b < 0; a row with b = 0 is already in [lo, hi].  Over each v the count
     is floor(min upper) - ceil(max lower) + 1, which is floor(min upper) +
     floor(min of (c - a v) / |b| over the lower rows) + 1.  The previous
-    level is the exact rational projection, so no term is negative.
+    level is the exact rational projection, so no term is negative.  A
+    range with fewer values than lines is summed value by value; a longer
+    one piecewise in closed form.
     """
     k = len(prefix)
     upper, lower = [], []
@@ -270,7 +296,12 @@ def _count_last_two(rows, prefix, lo, hi) -> int:
         c = rhs - sum(map(mul, co, prefix)) if prefix else rhs
         if b:
             (upper if b > 0 else lower).append((-a, c, abs(b)))
-    return _sum_floor_min(upper, lo, hi) + _sum_floor_min(lower, lo, hi) + hi - lo + 1
+    total = hi - lo + 1
+    if total >= len(upper) + len(lower):
+        return _sum_floor_min(upper, lo, hi) + _sum_floor_min(lower, lo, hi) + total
+    for v in range(lo, hi + 1):
+        total += min([(p * v + c) // m for p, c, m in upper]) + min([(p * v + c) // m for p, c, m in lower])
+    return total
 
 
 def _count(levels, prefix) -> int:

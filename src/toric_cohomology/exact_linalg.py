@@ -104,8 +104,9 @@ class DiagonalizedSystem:
         """One integer solution of A x = b, or None when none exists."""
         if len(b) != self.nrows:
             raise ValueError("right-hand side has wrong length")
-        # forward substitution on L z = b; z is zero past the rank, x = V z
-        z = [0] * self.ncols
+        # forward substitution on L z = b; z stops at the rank, as it is
+        # zero past it, and x = V z reads only the first rank columns of V
+        z = [0] * self.rank
         for row, bi, p in zip(self.echelon, b, self.pivots):
             residual = bi - sum(map(mul, row, z))
             if p is None:

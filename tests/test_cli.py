@@ -57,6 +57,24 @@ class TestSpecParsers:
         with pytest.raises(ModelError, match="expected 2"):
             parse_box_spec("0..1", 2)
 
+    def test_signs_and_surrounding_spaces(self):
+        assert parse_class_spec(" +2 , -3 ", 2) == (2, -3)
+        assert parse_box_spec(" -1 .. +1 ", 1) == [(-1,), (0,), (1,)]
+
+    # int() alone reads all of these: underscores, other scripts' digits
+    @pytest.mark.parametrize("entry", ["1_0", "１", "٣", "+-1", "-", "1 0", "0x1"])
+    def test_only_a_sign_and_ascii_digits(self, entry, p2_path):
+        with pytest.raises(ModelError, match="entries must be integers"):
+            parse_class_spec(entry, 1)
+        with pytest.raises(ModelError, match="bounds must be integers"):
+            parse_box_spec(f"{entry}..2", 1)
+        code, out, err = invoke([p2_path, f"--class={entry}"])
+        assert code == 1 and out == ""
+        assert err == f"error: bad divisor class {entry!r}: entries must be integers\n"
+        code, out, err = invoke([p2_path, f"--box=0..{entry}"])
+        assert code == 1 and out == ""
+        assert err == f"error: bad box range '0..{entry}': bounds must be integers\n"
+
 
 class TestTableOutput:
     def test_single_class(self, p2_path):

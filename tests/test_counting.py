@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from toric_cohomology import (
     neg_group_count,
     recession_test,
 )
+from toric_cohomology import counting
 from toric_cohomology.counting import (
     ZERO,
     _circuits,
@@ -354,19 +356,38 @@ class TestAgainstBruteForce:
                 assert enumerate_neg_group(p2, (alpha,), sigma) == expect
                 assert res.value == len(expect)
 
-    def test_p1xp1_box(self, p1xp1):
-        # one walk of the [-5, 5]^4 box, bucketed by (class, negative support);
-        # the walk is lexicographic, so every bucket is sorted
+    @staticmethod
+    def check_class_box(model, classes, bound):
+        """count == len(enumerate) == the bucket of one walk of the
+        [-bound, bound]^n box, by (class, negative support), for every sigma
+        of every class with a finite neg-group.  The walk is lexicographic,
+        so every bucket is sorted; a point outside the box fails the check."""
         buckets = {}
-        for u in itertools.product(range(-5, 6), repeat=4):
-            buckets.setdefault((charge_image(p1xp1, u), neg_mask(u)), []).append(u)
-        for alpha in itertools.product(range(-3, 3), repeat=2):
-            for sigma in range(1 << 4):
-                res = neg_group_count(p1xp1, alpha, sigma)
+        for u in itertools.product(range(-bound, bound + 1), repeat=model.n):
+            buckets.setdefault((charge_image(model, u), neg_mask(u)), []).append(u)
+        finite = 0
+        for alpha in classes:
+            for sigma in range(1 << model.n):
+                res = neg_group_count(model, alpha, sigma)
                 if res.is_infinite:
                     continue
+                finite += 1
                 expect = buckets.get((alpha, sigma), [])
-                assert enumerate_neg_group(p1xp1, alpha, sigma) == expect
+                assert enumerate_neg_group(model, alpha, sigma) == expect, (alpha, sigma)
+                assert res.value == len(expect), (alpha, sigma)
+        assert finite
+
+    def test_p1xp1_box(self, p1xp1):
+        self.check_class_box(p1xp1, itertools.product(range(-3, 3), repeat=2), 5)
+
+    # the models whose counts dominate the benchmark's class sweep and
+    # oracle check; every point of these classes' finite neg-groups lies in
+    # [-5, 5]^4 on F1 and [-3, 3]^6 on dP3
+    def test_f1_box(self):
+        self.check_class_box(load_bundled("F1"), itertools.product(range(-3, 3), repeat=2), 5)
+
+    def test_dp3_box(self):
+        self.check_class_box(load_bundled("dP3"), itertools.product(range(-1, 2), repeat=4), 3)
 
 
 def box_rows(bounds):
@@ -412,7 +433,7 @@ class TestClosedFormCount:
         assert len(list(_lattice_points(rows, 2))) == expect
         assert _lattice_count(rows, 2) == expect
 
-    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
     def test_random_bounded_systems(self, nvars):
         rng = random.Random(17 + nvars)
         for _ in range(400):
@@ -432,6 +453,55 @@ class TestClosedFormCount:
                 if rng.random() < 0.2:  # a repeated row
                     rows.append(rows[-1])
             assert _lattice_count(rows, nvars) == len(list(_lattice_points(rows, nvars))), rows
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+    def test_count_matches_a_box_walk(self, nvars, extra, monkeypatch):
+        # The walk shares the Fourier-Motzkin levels with the count, so the
+        # reference here is every point of a bounding box, tested row by row.
+        # The last coordinate w has `lines` bounding rows; v, the one before
+        # it, ranges over lines + extra values at every prefix, because every
+        # row holds at w = w0 over the whole box.  Fewer values than lines
+        # are summed value by value, the others in closed form.  Half the
+        # systems then get rows that cut the box anywhere, so that the
+        # bounds on the first coordinates come from combined rows too.
+        closed = []
+        sum_floor_min = counting._sum_floor_min
+        monkeypatch.setattr(counting, "_sum_floor_min", lambda *a: closed.append(a) or sum_floor_min(*a))
+        rng = random.Random(31 + 10 * nvars + extra)
+        for _ in range(60):
+            center = [rng.randint(-4, 4) for _ in range(nvars)]
+            co_rows = []
+            for _ in range(rng.randint(0, 4)):
+                co = [rng.randint(-3, 3) for _ in range(nvars)]
+                if rng.random() < 0.2:  # free of w
+                    co[-1] = 0
+                co_rows.append(co)
+            lines = 2 + sum(1 for co in co_rows if co[-1])
+            bounds = [(c - rng.randint(0, 1), c + rng.randint(0, 1)) for c in center]
+            bounds[-1] = (center[-1] - rng.randint(0, 3), center[-1] + rng.randint(0, 3))
+            if nvars > 1:
+                width = lines + extra
+                lo = center[-2] - rng.randrange(width)
+                bounds[-2] = (lo, lo + width - 1)
+            rows = box_rows(bounds)
+            for co in co_rows:
+                top = sum(max(x * lo, x * hi) for x, (lo, hi) in zip(co[:-1], bounds))
+                rows.append((tuple(co), top + co[-1] * center[-1] + rng.randint(0, 3)))
+            cutting = rng.random() < 0.5
+            for _ in range(rng.randint(1, 2) if cutting else 0):
+                co = [rng.randint(-3, 3) for _ in range(nvars)]
+                top = sum(max(x * lo, x * hi) for x, (lo, hi) in zip(co, bounds))
+                low = sum(min(x * lo, x * hi) for x, (lo, hi) in zip(co, bounds))
+                rows.append((tuple(co), rng.randint(low, top)))
+            closed.clear()
+            expect = sum(
+                all(sum(map(operator.mul, co, y)) <= rhs for co, rhs in rows)
+                for y in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+            )
+            assert _lattice_count(rows, nvars) == expect, rows
+            if nvars > 1 and not cutting:
+                assert bool(closed) == (extra >= 0), rows
 
     def test_fm_eliminate_matches_the_plain_rule(self):
         rng = random.Random(23)
