@@ -190,7 +190,7 @@ def run(args, out=None, err=None) -> int:
 
     if args.format == "json":
         payload = [result_to_json(model, r, args.breakdown) for r, _ in rows]
-        json.dump(payload, out, indent=2)
+        out.write(json.dumps(payload, indent=2))  # one write: json.dump writes chunk by chunk
         print(file=out)
     elif args.format == "csv":
         writer = csv.writer(out)

@@ -24,13 +24,17 @@ length.  `enumerate` (and through it `--breakdown`) walks every point
 instead, and is the count's reference.
 
 A `NegGroupCounter` holds one model's kernel basis, its circuits and its
-memos: recession and fit mask per sigma, base point and kill mask per
-class, count per (class, sigma), and the surviving terms per (term list,
-kill mask).  `dims` sums count * weights over the (sigma, weights) terms
-the engine or the fan oracle passes it, but only over those whose fiber
-the class's kill mask does not empty; that list is built once per term
-list and kill mask and shared by every class with that mask.  Its owner
-is the model's `engine.CohomologyEngine`; `engine.counter_for` and the
+memos: recession and fit mask per sigma, the kill mask per class (None
+outside the charge lattice), each count as a plain int in {sigma:
+{class: value}} (None when infinite), and the surviving terms per (term
+list, kill mask).  `dims` sums count * weights over the (sigma, weights)
+terms the engine or the fan oracle passes it, but only over those whose
+fiber the class's kill mask does not empty; that list is built once per
+term list and kill mask and shared by every class with that mask.  A
+term whose count misses the memo is counted on the spot, from the base
+point u0 of the class's `solve`; the base point is not kept, so a known
+class that meets a new term solves again.  Its owner is the model's
+`engine.CohomologyEngine`; `engine.counter_for` and the
 `neg_group_count` / `enumerate_neg_group` helpers reach it there.
 
 All arithmetic is exact; no floating point is used anywhere.
@@ -254,8 +258,11 @@ def _sum_floor_min(lines, lo, hi) -> int:
 
     The range is cut after the floor of every crossing of two lines, so no
     two lines cross strictly inside a piece, and the line lowest at a
-    piece's midpoint is lowest on the whole piece.
+    piece's midpoint is lowest on the whole piece.  One line is one piece.
     """
+    if len(lines) == 1:
+        p, c, m = lines[0]
+        return _floor_sum(hi - lo + 1, m, p, p * lo + c)
     cuts = {lo - 1, hi}
     for i, (p1, c1, m1) in enumerate(lines):
         for p2, c2, m2 in lines[i + 1:]:
@@ -282,7 +289,8 @@ def _count_last_two(rows, prefix, lo, hi) -> int:
 
     With the prefix substituted, a row reads a v + b w <= c.  It bounds w
     above by (c - a v) / b if b > 0, and below by -(c - a v) / |b| if
-    b < 0; a row with b = 0 is already in [lo, hi].  Over each v the count
+    b < 0; a row with b = 0 is already in [lo, hi], so it is skipped
+    before the prefix is substituted.  Over each v the count
     is floor(min upper) - ceil(max lower) + 1, which is floor(min upper) +
     floor(min of (c - a v) / |b| over the lower rows) + 1.  The previous
     level is the exact rational projection, so no term is negative.  A
@@ -292,10 +300,10 @@ def _count_last_two(rows, prefix, lo, hi) -> int:
     k = len(prefix)
     upper, lower = [], []
     for co, rhs in rows:
-        a, b = co[k], co[k + 1]
-        c = rhs - sum(map(mul, co, prefix)) if prefix else rhs
+        b = co[k + 1]
         if b:
-            (upper if b > 0 else lower).append((-a, c, abs(b)))
+            c = rhs - sum(map(mul, co, prefix)) if prefix else rhs
+            (upper if b > 0 else lower).append((-co[k], c, abs(b)))
     total = hi - lo + 1
     if total >= len(upper) + len(lower):
         return _sum_floor_min(upper, lo, hi) + _sum_floor_min(lower, lo, hi) + total
@@ -326,7 +334,15 @@ def _lattice_count(rows, nvars) -> int:
 
 
 class NegGroupCounter:
-    """Per-model counting workspace with recession and count memo tables."""
+    """Per-model counting workspace with recession, kill-mask and count memo tables.
+
+    The memos hold plain values: `_recession` and `_fit` per sigma, `_kill`
+    per class (None outside the charge lattice), `_counts` as {sigma:
+    {class: count}} with None for an infinite count, and `_alive` per term
+    list.  No base point is kept: a count that misses the memo solves for
+    one, or takes the one `dims` just solved for, unless the class's known
+    kill mask empties the fiber.
+    """
 
     def __init__(self, model: ToricVarietyModel):
         self.model = model
@@ -343,8 +359,8 @@ class NegGroupCounter:
         self._neg_rows = [tuple(-x for x in row) for row in self._rows]
         self._recession: Dict[int, bool] = {}
         self._fit: Dict[int, int] = {}
-        self._base: Dict[DivisorClass, tuple[list[int] | None, int]] = {}
-        self._counts: Dict[tuple[DivisorClass, int], CountResult] = {}
+        self._kill: Dict[DivisorClass, int | None] = {}
+        self._counts: Dict[int, Dict[DivisorClass, int | None]] = {}
         # id(terms) -> (terms, {kill mask: the terms it leaves alive}); the
         # entry holds the list, so its id is not reused while the entry stands
         self._alive: Dict[int, tuple[list, Dict[int, list]]] = {}
@@ -384,30 +400,32 @@ class NegGroupCounter:
         return rec
 
     def _class(self, alpha: DivisorClass):
-        """(u0, kill) for a class: one integer point u0 of its fiber, None
-        outside the charge lattice, and its kill mask, the oriented circuits
-        t of the K rows with t . u0 + sum_(t_i > 0) t_i > 0.
+        """(u0, kill) for a class: one integer point u0 of its fiber and its
+        kill mask, the oriented circuits t of the K rows with
+        t . u0 + sum_(t_i > 0) t_i > 0; both None outside the charge lattice.
 
-        A class is checked once, when it first enters the memo: it needs
-        one int (not a bool) per class coordinate, else ValueError.
+        Every call checks the class, which needs one int (not a bool) per
+        class coordinate, else ValueError, and solves for u0.  Only the
+        kill mask is memoized.
         """
-        entry = self._base.get(alpha)
-        if entry is None:
-            k = self.model.num_classes
-            if len(alpha) != k:
-                raise ValueError(f"divisor class needs {k} entries, got {len(alpha)}")
-            if not all(type(a) is int for a in alpha):  # (2.0,) == (2,) would share memo keys
-                raise ValueError(f"divisor class entries must be integers, got {alpha!r}")
-            u0, kill = self._system.solve(list(alpha)), 0
+        k = self.model.num_classes
+        if len(alpha) != k:
+            raise ValueError(f"divisor class needs {k} entries, got {len(alpha)}")
+        if not all(type(a) is int for a in alpha):  # (2.0,) == (2,) would share memo keys
+            raise ValueError(f"divisor class entries must be integers, got {alpha!r}")
+        u0 = self._system.solve(list(alpha))
+        kill = self._kill.get(alpha)
+        if kill is None:
             if u0 is not None:
+                kill = 0
                 for j, (t, pos, neg) in enumerate(self._kernel_circuits[0]):
                     dot = sum(map(mul, t, u0))
                     if dot + pos > 0:
                         kill |= 1 << 2 * j
                     if neg - dot > 0:
                         kill |= 2 << 2 * j
-            entry = self._base[alpha] = (u0, kill)
-        return entry
+            self._kill[alpha] = kill
+        return u0, kill
 
     def _fit_mask(self, sigma: int) -> int:
         """The oriented circuits t of the K rows that fit sigma: t_i >= 0 on sigma, t_i <= 0 off it.
@@ -433,48 +451,54 @@ class NegGroupCounter:
         ]
 
     def _fiber(self, alpha: DivisorClass, sigma: int):
-        """The neg-group's sign rows over y: None if it is infinite, () if it is empty.
+        """(u0, rows): the class's base point and the neg-group's sign rows
+        over y, None if it is infinite, () if it is empty.
 
         By Farkas the rows are infeasible over Q iff a nonnegative
         combination of them reads 0 <= negative.  Its multipliers, signed by
         row, are a t with sum t_i K_i = 0 that fits sigma and has
         t . u0 + sum_(t_i > 0) t_i > 0, and by conformal decomposition a
         circuit does as well.  So the circuits decide emptiness with one
-        AND of two masks, and recession, before any row is built.
+        AND of two masks, and recession, before any row is built.  A known
+        class whose kill mask empties the fiber reads () with u0 None,
+        unsolved.
         """
         fit = self._fit_mask(sigma)
+        if alpha in self._kill:
+            kill = self._kill[alpha]
+            if kill is None or kill & fit:
+                return None, ()
         u0, kill = self._class(alpha)
-        if u0 is None:  # alpha is not in the charge lattice: no vectors at all
-            return ()
-        if kill & fit:
-            return ()
+        if u0 is None or kill & fit:  # outside the charge lattice, or empty over Q
+            return u0, ()
         if self.recession(sigma):
-            return None
-        return self._inequalities(u0, sigma)
+            return u0, None
+        return u0, self._inequalities(u0, sigma)
 
     def count(self, alpha: DivisorClass, sigma: int) -> CountResult:
-        key = (tuple(alpha), sigma)
-        result = self._counts.get(key)
-        if result is None:
-            rows = self._fiber(*key)
-            if rows is None:
-                result = INFINITE
-            else:
-                value = _lattice_count(rows, self._d) if rows else 0
-                result = CountResult(value) if value else ZERO
-            self._counts[key] = result
-        return result
+        alpha = tuple(alpha)
+        memo = self._counts.get(sigma)
+        value = -1 if memo is None else memo.get(alpha, -1)
+        if value == -1:  # counts are never negative: a miss
+            rows = self._fiber(alpha, sigma)[1]
+            value = None if rows is None else _lattice_count(rows, self._d) if rows else 0
+            self._counts.setdefault(sigma, {})[alpha] = value
+        return INFINITE if value is None else CountResult(value) if value else ZERO
 
     def _alive_terms(self, terms, kill: int) -> list:
         """The (sigma, weights) of `terms` whose fiber the kill mask leaves
-        possibly nonempty, built once per (term list, kill mask)."""
+        possibly nonempty, built once per (term list, kill mask).  Every
+        sigma's fit mask enters the table when the list is first seen, so
+        the lists read it directly."""
         entry = self._alive.get(id(terms))
         if entry is None:
+            for sigma, _ in terms:
+                self._fit_mask(sigma)
             entry = self._alive[id(terms)] = (terms, {})
         alive = entry[1].get(kill)
         if alive is None:
-            fit = self._fit_mask
-            alive = entry[1][kill] = [term for term in terms if not kill & fit(term[0])]
+            fit = self._fit
+            alive = entry[1][kill] = [term for term in terms if not kill & fit[term[0]]]
         return alive
 
     def dims(self, alpha: DivisorClass, terms) -> tuple[int, ...]:
@@ -483,36 +507,51 @@ class NegGroupCounter:
         Only the terms the class's kill mask leaves alive are counted, so a
         sigma it empties leaves no memo entry.  That list is built once per
         term list and kill mask and shared by every class with the mask;
-        `terms` must not change after its first use.  An infinite count
-        raises `NonFiniteCohomologyError`.
+        `terms` must not change after its first use.  An alive term proves
+        its fiber has a rational point, so a count that misses the memo is
+        made here from the class's base point: a recession test, then the
+        lattice count.  An infinite count raises `NonFiniteCohomologyError`.
         """
         alpha = tuple(alpha)
         model = self.model
         dims = [0] * (model.dim + 1)
-        u0, kill = self._class(alpha)
-        if u0 is None:  # alpha is not in the charge lattice: every count is 0
+        if alpha in self._kill:
+            u0, kill = None, self._kill[alpha]  # solved again only if a count misses
+        else:
+            u0, kill = self._class(alpha)
+        if kill is None:  # alpha is not in the charge lattice: every count is 0
             return tuple(dims)
+        counts = self._counts
         for sigma, weights in self._alive_terms(terms, kill):
-            count = self.count(alpha, sigma)
-            if count.is_infinite:
+            memo = counts.get(sigma)
+            if memo is None:
+                memo = counts[sigma] = {}
+            value = memo.get(alpha, -1)
+            if value == -1:
+                if u0 is None:
+                    u0 = self._class(alpha)[0]
+                value = memo[alpha] = (
+                    None if self.recession(sigma)
+                    else _lattice_count(self._inequalities(u0, sigma), self._d)
+                )
+            if value is None:
                 raise NonFiniteCohomologyError(
                     "non-finite cohomology: infinite neg-group at degree "
                     f"{bitstring(sigma, model.n)} with nonzero multiplicity "
                     "(input fan likely not complete)"
                 )
-            for i, w in enumerate(weights):
-                dims[i] += count.value * w
+            if value:
+                for i, w in enumerate(weights):
+                    dims[i] += value * w
         return tuple(dims)
 
     def enumerate(self, alpha: DivisorClass, sigma: int):
         """The explicit exponent vectors of a finite neg-group, lexicographic."""
-        alpha = tuple(alpha)
-        rows = self._fiber(alpha, sigma)
+        u0, rows = self._fiber(tuple(alpha), sigma)
         if rows is None:
             raise ValueError("cannot enumerate an infinite neg-group")
         if not rows:
             return []
-        u0 = self._class(alpha)[0]
         return sorted(
             tuple(x + sum(k * y for k, y in zip(row, ys)) for x, row in zip(u0, self._rows))
             for ys in _lattice_points(rows, self._d)

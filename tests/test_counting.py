@@ -16,11 +16,14 @@ from toric_cohomology import (
 )
 from toric_cohomology import counting
 from toric_cohomology.counting import (
+    INFINITE,
     ZERO,
+    NegGroupCounter,
     _circuits,
     _fm_eliminate,
     _floor_sum,
     _lattice_count,
+    _sum_floor_min,
     _lattice_points,
     format_rationom,
 )
@@ -261,7 +264,7 @@ class TestInputChecks:
                 call(alpha, 0)
         with pytest.raises(ValueError, match="must be integers"):
             counter.dims(alpha, [])
-        assert counter._base == {} and counter._counts == {}
+        assert counter._kill == {} and counter._counts == {}
 
     def test_class_length_checked_on_every_entry_point(self, p2):
         counter = CohomologyEngine(p2).counter
@@ -302,7 +305,7 @@ class TestAliveTerms:
         # the doubled charges put about half the classes outside the lattice
         assert off_lattice > 5 if name.startswith("2") else off_lattice == 0
         # one list per kill mask met, for each of the two term lists
-        kills = {eng.counter._class(alpha)[1] for alpha in eng.counter._base if eng.counter._base[alpha][0]}
+        kills = {kill for kill in eng.counter._kill.values() if kill is not None}
         assert len(eng.counter._alive) == 2
         assert all(set(masks) == kills for _, masks in eng.counter._alive.values())
 
@@ -322,6 +325,82 @@ class TestAliveTerms:
         counter = CohomologyEngine(p2).counter
         for w in range(1, 20):
             assert counter.dims((1,), [(0, (0, w, 0))]) == (0, 3 * w, 0)
+
+
+class TestDimsCountsItsOwnMisses:
+    """`dims` counts a term that misses the memo itself, from the base point
+    its class lookup just solved for; it never enters `count` or `_fiber`."""
+
+    BOXES = {
+        "dP3": list(itertools.product(range(-1, 2), repeat=4)),
+        "P1xP1xP1": list(itertools.product(range(-2, 3), repeat=3)),
+        "F1": list(itertools.product(range(-3, 3), repeat=2)),
+    }
+
+    @staticmethod
+    def forbid_count(monkeypatch, counter):
+        def forbidden(*args):
+            raise AssertionError("dims entered count or _fiber")
+
+        monkeypatch.setattr(counter, "count", forbidden)
+        monkeypatch.setattr(counter, "_fiber", forbidden)
+
+    @pytest.mark.parametrize("name", BOXES)
+    def test_one_solve_per_new_class_and_the_same_counts(self, name, monkeypatch):
+        model = load_bundled(name)
+        eng = CohomologyEngine(model)
+        counter = eng.counter
+        solves = []
+        solve = counter._system.solve
+        monkeypatch.setattr(counter._system, "solve", lambda b: solves.append(tuple(b)) or solve(b))
+        self.forbid_count(monkeypatch, counter)
+        oracle_terms = eng.oracle.terms
+        for alpha in self.BOXES[name]:
+            solves.clear()
+            dims = counter.dims(alpha, eng.terms)
+            assert solves == [alpha]  # a first-seen class: one solve for its kill mask and base point
+            assert counter.dims(alpha, eng.terms) == dims and solves == [alpha]  # every count a hit
+            counter.dims(alpha, oracle_terms)  # a known class solves again only if a count misses
+            assert len(solves) <= 2
+        monkeypatch.undo()
+        # what `dims` stored is a fresh counter's count, and `count` then
+        # reads the same as a fresh counter, ZERO and INFINITE included, on
+        # every sigma of every class; a fiber the known kill mask empties
+        # reads ZERO unsolved
+        fresh = NegGroupCounter(model)
+        stored = [(alpha, sigma, value) for sigma, memo in counter._counts.items() for alpha, value in memo.items()]
+        assert stored
+        for alpha, sigma, value in stored:
+            assert type(value) is int and fresh.count(alpha, sigma).value == value, (alpha, sigma)
+        monkeypatch.setattr(counter._system, "solve", lambda b: solves.append(tuple(b)) or solve(b))
+        seen = set()
+        for alpha in self.BOXES[name]:
+            for sigma in range(1 << model.n):
+                solves.clear()
+                got, expect = counter.count(alpha, sigma), fresh.count(alpha, sigma)
+                assert got == expect, (alpha, sigma)
+                if counter._kill[alpha] & counter._fit_mask(sigma):
+                    assert got is ZERO and solves == [], (alpha, sigma)
+                assert (got is ZERO) == (expect.value == 0) and (got is INFINITE) == expect.is_infinite
+                seen.add("zero" if got is ZERO else "infinite" if got is INFINITE else "positive")
+        assert seen == {"zero", "infinite", "positive"}
+
+    # the first infinite term of each route's list, as the message spells
+    # it (bit i of sigma is coordinate x(i+1))
+    @pytest.mark.parametrize("route, degree, sigma", [("engine", "011", 0b110), ("oracle", "100", 0b001)])
+    def test_non_finite_message_unchanged(self, route, degree, sigma, monkeypatch):
+        eng = CohomologyEngine(truncated_p2())
+        terms = eng.terms if route == "engine" else eng.oracle.terms
+        self.forbid_count(monkeypatch, eng.counter)
+        with pytest.raises(NonFiniteCohomologyError) as got:
+            eng.counter.dims((0,), terms)
+        assert str(got.value) == (
+            f"non-finite cohomology: infinite neg-group at degree {degree} with nonzero "
+            "multiplicity (input fan likely not complete)"
+        )
+        monkeypatch.undo()
+        assert eng.counter._counts[sigma] == {(0,): None}
+        assert eng.counter.count((0,), sigma) is INFINITE
 
 
 class TestEnumerate:
@@ -409,6 +488,15 @@ class TestClosedFormCount:
             a, b = rng.randint(-30, 30), rng.randint(-50, 50)
             assert _floor_sum(n, m, a, b) == sum((a * x + b) // m for x in range(n))
         assert _floor_sum(10**5, 7, 3, -5) == sum((3 * x - 5) // 7 for x in range(10**5))
+
+    def test_sum_floor_min_one_line(self):
+        rng = random.Random(13)
+        for i in range(500):
+            p, c, m = rng.randint(-30, 30), rng.randint(-60, 60), rng.randint(1, 12)
+            lo = rng.randint(-40, 20)
+            hi = lo if i % 5 == 0 else lo + rng.randint(0, 30)  # one value in every fifth range
+            assert _sum_floor_min([(p, c, m)], lo, hi) == sum((p * v + c) // m for v in range(lo, hi + 1))
+        assert _sum_floor_min([(3, -5, 7)], -10**5, -1) == sum((3 * v - 5) // 7 for v in range(-10**5, 0))
 
     @pytest.mark.parametrize("rows, expect", [
         # w <= v and w <= 4 - v cross at the integer v = 2; 0 <= w
@@ -502,6 +590,32 @@ class TestClosedFormCount:
             assert _lattice_count(rows, nvars) == expect, rows
             if nvars > 1 and not cutting:
                 assert bool(closed) == (extra >= 0), rows
+            if nvars > 1:
+                self.check_last_two(rng, rows, bounds)
+
+    @staticmethod
+    def check_last_two(rng, rows, bounds):
+        """`_count_last_two` on the last level at every prefix of the box,
+        against the points (v, w) of the box, with rows free of w mixed in:
+        each holds on the whole v-range, as a row of the level above does."""
+        nvars = len(bounds)
+        k = nvars - 2
+        levels = counting._levels(rows, nvars)
+        for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds[:k])):
+            rng_v = counting._first_var_range(levels[k], prefix)
+            if rng_v is None:
+                continue
+            lo, hi = rng_v
+            last = list(levels[k + 1])
+            for _ in range(rng.randint(1, 3)):
+                co = [rng.randint(-3, 3) for _ in range(k + 1)] + [0] * (nvars - k - 1)
+                at = [sum(map(operator.mul, co, prefix + (v,))) for v in (lo, hi)]
+                last.insert(rng.randint(0, len(last)), (tuple(co), max(at) + rng.randint(0, 2)))
+            expect = sum(
+                all(sum(map(operator.mul, co, prefix + (v, w))) <= rhs for co, rhs in last)
+                for v in range(lo, hi + 1) for w in range(bounds[-1][0], bounds[-1][1] + 1)
+            )
+            assert counting._count_last_two(last, prefix, lo, hi) == expect, (last, prefix, lo, hi)
 
     def test_fm_eliminate_matches_the_plain_rule(self):
         rng = random.Random(23)

@@ -496,7 +496,7 @@ def _rationally_empty(rows, nvars) -> bool:
 
 def fiber_verdict(counter, alpha, sigma):
     """The counter's verdict on a neg-group's fiber, decided by its circuits."""
-    rows = counter._fiber(alpha, sigma)
+    rows = counter._fiber(alpha, sigma)[1]
     return "infinite" if rows is None else "finite" if rows else "empty"
 
 
